@@ -1,1 +1,1 @@
-//! Shared helpers for the SDFLMQ benchmark harness live in the bin/ and benches/ targets.
+//! The paper-figure binaries live in `src/bin/`; this crate has no library code.

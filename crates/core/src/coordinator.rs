@@ -173,6 +173,10 @@ enum WorkItem {
     /// The round deadline blew: penalize stragglers, maybe evict and
     /// re-delegate mid-round.
     Overdue(SessionId),
+    /// Wakes the worker so it sees the coordinator stopped. Needed because
+    /// the worker and every exposed handler hold a sender of this very
+    /// channel, so it never disconnects on its own.
+    Stop,
 }
 
 /// A running coordinator node.
@@ -182,6 +186,8 @@ pub struct Coordinator {
     running: Arc<AtomicBool>,
     work_tx: crossbeam::channel::Sender<WorkItem>,
     signal: Arc<TickSignal>,
+    /// The worker and ticker threads; [`Coordinator::stop`] joins them.
+    threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
 impl std::fmt::Debug for Coordinator {
@@ -231,6 +237,7 @@ impl Coordinator {
             running: Arc::clone(&running),
             work_tx: work_tx.clone(),
             signal: Arc::clone(&signal),
+            threads: Mutex::new(Vec::new()),
         };
         coordinator.expose_handlers()?;
 
@@ -240,11 +247,17 @@ impl Coordinator {
         let work_fc = fc.clone();
         let loop_tx = work_tx.clone();
         let work_signal = Arc::clone(&signal);
-        std::thread::Builder::new()
+        let work_running = Arc::clone(&running);
+        let worker = std::thread::Builder::new()
             .name("coordinator-worker".into())
             .spawn(move || {
                 while let Ok(item) = work_rx.recv() {
+                    // A stopped coordinator abandons its backlog.
+                    if !work_running.load(Ordering::Acquire) {
+                        break;
+                    }
                     let result = match item {
+                        WorkItem::Stop => break,
                         WorkItem::StartSession(sid) => {
                             Self::start_session(&work_state, &work_fc, &sid)
                         }
@@ -278,7 +291,7 @@ impl Coordinator {
         let tick_signal = Arc::clone(&signal);
         let tick_clock = clock;
         let tick = config.tick;
-        std::thread::Builder::new()
+        let ticker = std::thread::Builder::new()
             .name("coordinator-ticker".into())
             .spawn(move || {
                 while tick_running.load(Ordering::Acquire) {
@@ -309,6 +322,7 @@ impl Coordinator {
                 }
             })
             .expect("spawn coordinator ticker");
+        coordinator.threads.lock().extend([worker, ticker]);
 
         Ok(coordinator)
     }
@@ -338,12 +352,18 @@ impl Coordinator {
             .map(|s| s.clients.iter().map(|c| c.id.clone()).collect())
     }
 
-    /// Stops housekeeping (sessions freeze; used on shutdown).
+    /// Stops orchestration and housekeeping (sessions freeze; used on
+    /// shutdown) and waits for both threads to exit. Idempotent.
     pub fn stop(&self) {
         self.running.store(false, Ordering::Release);
-        // Wake the housekeeping loop so it observes the flag even while
-        // parked without a deadline.
+        // Wake both loops so they observe the flag even while parked: the
+        // ticker without a deadline, the worker on an empty queue.
         self.signal.nudge();
+        let _ = self.work_tx.send(WorkItem::Stop);
+        let threads = std::mem::take(&mut *self.threads.lock());
+        for thread in threads {
+            let _ = thread.join();
+        }
     }
 
     fn expose_handlers(&self) -> Result<()> {

@@ -42,7 +42,7 @@ pub struct GlobalModel {
 /// A running parameter server node.
 pub struct ParamServer {
     repo: Arc<Mutex<HashMap<SessionId, GlobalModel>>>,
-    blobs: BlobChannel,
+    blobs: Arc<BlobChannel>,
 }
 
 impl std::fmt::Debug for ParamServer {
@@ -74,12 +74,20 @@ impl ParamServer {
             mqtt_options.dialer = Some(dialer);
         }
         let client = Client::connect(broker, mqtt_options)?;
-        let blobs = BlobChannel::new(client, PARAM_SERVER_ID, batch, QoS::AtLeastOnce);
+        let blobs = Arc::new(BlobChannel::new(
+            client,
+            PARAM_SERVER_ID,
+            batch,
+            QoS::AtLeastOnce,
+        ));
         let repo: Arc<Mutex<HashMap<SessionId, GlobalModel>>> =
             Arc::new(Mutex::new(HashMap::new()));
 
         let repo_in = Arc::clone(&repo);
-        let rebroadcast = blobs.clone();
+        // Weak: the handler is stored inside the very client `blobs`
+        // wraps, so a strong handle would keep that client — and its
+        // dispatcher thread — alive after the server is dropped.
+        let rebroadcast = Arc::downgrade(&blobs);
         blobs.subscribe(
             &TopicFilter::new("sdflmq/session/+/ps").expect("valid filter"),
             Arc::new(move |blob: Blob, ctx: BlobCtx| {
@@ -120,6 +128,9 @@ impl ParamServer {
                     sender: PARAM_SERVER_ID.to_owned(),
                     weight: blob.weight,
                     params: blob.params,
+                };
+                let Some(rebroadcast) = rebroadcast.upgrade() else {
+                    return;
                 };
                 let _ = rebroadcast.publish_update(
                     &global_topic(&session),

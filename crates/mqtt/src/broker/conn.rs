@@ -1,0 +1,198 @@
+//! The broker-side half of one connection.
+//!
+//! A [`Transport`] is everything the reactor glue needs to move bytes for
+//! one client: where inbound frames come from, and the [`FrameSender`]
+//! outbound frames go to. The two variants differ only in mechanics — an
+//! in-process link is nudged by its peer (`Event::Notify`), a TCP socket
+//! by the poller — and share one attach, one CONNECT gate, one migration
+//! and one teardown in `shard`.
+
+use super::ConnId;
+use crate::codec;
+use crate::reactor::{Poller, WriteScheduler};
+use crate::transport::{FrameReceiver, FrameSender, TcpOutbound};
+use bytes::Bytes;
+use std::collections::VecDeque;
+use std::io::{self, IoSlice, Read, Write};
+use std::net::TcpStream;
+use std::os::fd::AsRawFd;
+use std::sync::atomic::AtomicUsize;
+use std::sync::Arc;
+
+pub(super) enum Transport {
+    /// In-process link. `target` is the shard index the link's
+    /// incoming-frame hook reads; the home shard retargets it when the
+    /// connection migrates.
+    Link {
+        rx: FrameReceiver,
+        tx: FrameSender,
+        target: Arc<AtomicUsize>,
+    },
+    Tcp(TcpConn),
+}
+
+impl Transport {
+    /// A send handle for this connection (what the protocol core and the
+    /// routing index hold).
+    pub(super) fn sender(&self) -> FrameSender {
+        match self {
+            Transport::Link { tx, .. } => tx.clone(),
+            Transport::Tcp(tcp) => FrameSender::from_tcp(Arc::clone(&tcp.out)),
+        }
+    }
+}
+
+/// What a flush pass left behind.
+pub(super) enum Flushed {
+    /// Everything written, or the poller now watches for writability.
+    Ok,
+    /// The outbound queue crossed the slow-consumer watermark.
+    Evicted,
+    /// The socket is gone.
+    Dead,
+}
+
+/// Reactor-side state of one TCP connection: the nonblocking socket, its
+/// partial-frame read buffer, and the in-progress write queue.
+pub(super) struct TcpConn {
+    stream: TcpStream,
+    /// Accumulated unparsed bytes (partial frames survive here between
+    /// readiness events, and across a migration).
+    rbuf: Vec<u8>,
+    /// Outbound queue shared with every routing shard's [`FrameSender`].
+    pub(super) out: Arc<TcpOutbound>,
+    /// Frames drained from `out` and currently being written.
+    writing: VecDeque<Bytes>,
+    /// Bytes of `writing.front()` already written.
+    wr_off: usize,
+    /// True while the poller watches this socket for writability.
+    want_write: bool,
+}
+
+impl TcpConn {
+    /// Wraps a freshly accepted socket: nonblocking, no Nagle delay, and
+    /// an outbound queue that schedules its flushes with `sched` (the home
+    /// shard's; retargeted if the connection migrates).
+    pub(super) fn new(
+        conn: ConnId,
+        stream: TcpStream,
+        hwm: u64,
+        sched: Arc<WriteScheduler>,
+    ) -> io::Result<TcpConn> {
+        stream.set_nonblocking(true)?;
+        let _ = stream.set_nodelay(true);
+        Ok(TcpConn {
+            stream,
+            rbuf: Vec::new(),
+            out: TcpOutbound::new(conn, hwm, sched),
+            writing: VecDeque::new(),
+            wr_off: 0,
+            want_write: false,
+        })
+    }
+
+    /// Starts watching the socket for readability under token `conn`.
+    pub(super) fn register(&self, poller: &mut Poller, conn: ConnId) -> io::Result<()> {
+        poller.add(self.stream.as_raw_fd(), conn, true, false)
+    }
+
+    /// Stops watching the socket (migration hand-off or teardown).
+    pub(super) fn deregister(&self, poller: &mut Poller) {
+        let _ = poller.remove(self.stream.as_raw_fd());
+    }
+
+    /// Pulls every available byte into the read buffer. Returns true on
+    /// EOF or a read error (the caller closes the connection after
+    /// processing what arrived).
+    pub(super) fn fill(&mut self) -> bool {
+        let mut chunk = [0u8; 16384];
+        let mut total = 0usize;
+        loop {
+            match self.stream.read(&mut chunk) {
+                Ok(0) => return true,
+                Ok(n) => {
+                    self.rbuf.extend_from_slice(&chunk[..n]);
+                    total += n;
+                    // Yield to other connections after 1 MiB; the
+                    // level-triggered poller re-reports readiness.
+                    if total >= 1 << 20 {
+                        return false;
+                    }
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return false,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) => return true,
+            }
+        }
+    }
+
+    /// Pops the next complete frame off the read buffer. TCP frames are
+    /// single packets (framed by [`codec::frame_length`]); `Err` means the
+    /// buffer holds bytes no frame can start with.
+    pub(super) fn next_frame(&mut self) -> Result<Option<Bytes>, ()> {
+        match codec::frame_length(&self.rbuf) {
+            Ok(Some(len)) if self.rbuf.len() >= len => {
+                let bytes: Vec<u8> = self.rbuf.drain(..len).collect();
+                Ok(Some(Bytes::from(bytes)))
+            }
+            Ok(_) => Ok(None),
+            Err(_) => Err(()),
+        }
+    }
+
+    /// Drains the outbound queue to the socket with vectored writes. On
+    /// `WouldBlock` the poller starts watching writability.
+    pub(super) fn flush(&mut self, poller: &mut Poller, conn: ConnId) -> Flushed {
+        self.out.begin_flush();
+        self.out.drain_into(&mut self.writing);
+        if self.out.is_evicted() {
+            return Flushed::Evicted;
+        }
+        let fd = self.stream.as_raw_fd();
+        while !self.writing.is_empty() {
+            let res = {
+                let mut slices: Vec<IoSlice<'_>> = Vec::with_capacity(32.min(self.writing.len()));
+                let mut iter = self.writing.iter();
+                if let Some(first) = iter.next() {
+                    slices.push(IoSlice::new(&first[self.wr_off..]));
+                }
+                for b in iter.take(31) {
+                    slices.push(IoSlice::new(b));
+                }
+                self.stream.write_vectored(&slices)
+            };
+            match res {
+                Ok(0) => return Flushed::Dead,
+                Ok(n) => {
+                    self.out.note_written(n as u64);
+                    let mut left = n;
+                    while left > 0 {
+                        let front_len = self.writing[0].len() - self.wr_off;
+                        if left >= front_len {
+                            self.writing.pop_front();
+                            self.wr_off = 0;
+                            left -= front_len;
+                        } else {
+                            self.wr_off += left;
+                            left = 0;
+                        }
+                    }
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    if !self.want_write {
+                        self.want_write = true;
+                        let _ = poller.modify(fd, conn, true, true);
+                    }
+                    return Flushed::Ok;
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) => return Flushed::Dead,
+            }
+        }
+        if self.want_write {
+            self.want_write = false;
+            let _ = poller.modify(fd, conn, true, false);
+        }
+        Flushed::Ok
+    }
+}

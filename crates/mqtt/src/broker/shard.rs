@@ -1,0 +1,443 @@
+//! Reactor glue for one shard: the event loop around a [`ShardProto`].
+//!
+//! Everything that touches the outside world lives here — the poller, the
+//! wake pipe, the mailbox, every [`Transport`], and the clock. The loop
+//! turns readiness and mailbox events into calls on the protocol core,
+//! handing each the current `Instant`, and parks until the core's next
+//! deadline. A connection takes one path through it whatever its
+//! transport: `Attach` on its home shard, the CONNECT gate, at most one
+//! `Migrate` to its owner shard, then frames into the core until one
+//! teardown.
+
+use super::conn::{Flushed, Transport};
+use super::proto::ShardProto;
+use super::{shard_of, BrokerConfig, ConnId, Event, ShardHandle};
+use crate::codec;
+use crate::error::ConnectReturnCode;
+use crate::index::SharedIndex;
+use crate::packet::{Connack, Connect, LastWill, Packet};
+use crate::persist::PersistStore;
+use crate::reactor::{PollEvent, Poller, WakeReceiver, WriteScheduler, WAKE_TOKEN};
+use crate::session::Session;
+use crate::stats::BrokerCounters;
+use crate::transport::{FrameSender, TryRecv};
+use bytes::Bytes;
+use crossbeam::channel::{Receiver, TryRecvError};
+use std::collections::HashMap;
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
+use std::time::Instant;
+
+pub(super) struct Shard {
+    shard: usize,
+    proto: ShardProto,
+    counters: Arc<BrokerCounters>,
+    handles: Vec<ShardHandle>,
+    poller: Poller,
+    wake_rx: WakeReceiver,
+    write_sched: Arc<WriteScheduler>,
+    /// Every connection this shard transports. One that the protocol core
+    /// does not know yet is still CONNECT-gated (and parked on its home
+    /// shard).
+    transports: HashMap<ConnId, Transport>,
+    /// Link connections this (home) shard migrated away: notify events
+    /// that still land here are forwarded to the owner shard.
+    migrated: HashMap<ConnId, usize>,
+}
+
+impl Shard {
+    pub(super) fn new(
+        shard: usize,
+        config: &BrokerConfig,
+        counters: &Arc<BrokerCounters>,
+        index: &Arc<SharedIndex>,
+        handles: Vec<ShardHandle>,
+        wake_rx: WakeReceiver,
+        persist: Option<Arc<PersistStore>>,
+    ) -> Shard {
+        let mut poller = Poller::new().expect("create shard poller");
+        poller
+            .add(wake_rx.fd(), WAKE_TOKEN, true, false)
+            .expect("register shard waker");
+        let write_sched = Arc::new(WriteScheduler::new(handles[shard].wake.clone()));
+        Shard {
+            shard,
+            proto: ShardProto::new(
+                shard,
+                config,
+                counters,
+                index,
+                handles.clone(),
+                persist,
+                Instant::now(),
+            ),
+            counters: Arc::clone(counters),
+            handles,
+            poller,
+            wake_rx,
+            write_sched,
+            transports: HashMap::new(),
+            migrated: HashMap::new(),
+        }
+    }
+
+    /// The flush queue TCP connections owned by this shard schedule with.
+    pub(super) fn write_sched(&self) -> Arc<WriteScheduler> {
+        Arc::clone(&self.write_sched)
+    }
+
+    /// Runs the shard until shutdown. `sessions` and `wills` are what
+    /// recovery rebuilt for this shard's clients.
+    pub(super) fn run(
+        &mut self,
+        rx: Receiver<Event>,
+        sessions: HashMap<String, Session>,
+        wills: Vec<(String, LastWill)>,
+    ) {
+        self.proto.adopt_recovered(sessions, wills, Instant::now());
+        self.reap();
+        let mut events: Vec<PollEvent> = Vec::new();
+        'outer: loop {
+            // Drain whatever is queued — and check the keep-alive deadline
+            // periodically so a mailbox that never empties still expires
+            // connections.
+            let mut drained = 0u32;
+            loop {
+                match rx.try_recv() {
+                    Ok(event) => {
+                        let now = Instant::now();
+                        if !self.handle(event, now) {
+                            break 'outer;
+                        }
+                        drained = drained.wrapping_add(1);
+                        if drained.is_multiple_of(128) && self.proto.expire_keepalives(now) {
+                            self.reap();
+                        }
+                    }
+                    Err(TryRecvError::Empty) => break,
+                    Err(TryRecvError::Disconnected) => break 'outer,
+                }
+            }
+            // Mailbox drained: send the hops this burst produced, one
+            // coalesced batch per target shard (events handled on the next
+            // pass flush then).
+            self.proto.flush_hops();
+            let now = Instant::now();
+            // Flush every TCP connection a routing shard scheduled.
+            for conn in self.write_sched.take() {
+                self.flush(conn, now);
+            }
+            // Fire due deadlines before parking.
+            if self.proto.expire_keepalives(now) || self.proto.fire_due_timers(now) {
+                self.reap();
+                continue;
+            }
+            // Park in the poller. Arm the waker first, then re-check the
+            // mailbox and write queue: an event or scheduled flush that
+            // raced the arming would otherwise sleep until the deadline.
+            self.wake_rx.arm();
+            if !rx.is_empty() || !self.write_sched.is_empty() {
+                continue;
+            }
+            events.clear();
+            let timeout = self
+                .proto
+                .next_deadline()
+                .map(|d| d.saturating_duration_since(Instant::now()));
+            if self.poller.wait(&mut events, timeout).is_err() {
+                continue;
+            }
+            let now = Instant::now();
+            for ev in events.iter().copied() {
+                if ev.token == WAKE_TOKEN {
+                    self.wake_rx.drain();
+                    continue;
+                }
+                if ev.readable {
+                    self.on_readable(ev.token, now);
+                }
+                if ev.writable {
+                    self.flush(ev.token, now);
+                }
+            }
+        }
+        // Close every connection so clients observe disconnection.
+        self.proto.drop_connections();
+        self.transports.clear();
+    }
+
+    /// Handles one mailbox event; returns false on shutdown.
+    fn handle(&mut self, event: Event, now: Instant) -> bool {
+        match event {
+            Event::Attach { conn, transport } => {
+                if self.adopt(conn, transport) {
+                    // Link frames may have arrived before the attach event
+                    // did (a socket's are re-reported by the poller).
+                    self.on_notify(conn, now);
+                }
+            }
+            Event::Notify(conn) => self.on_notify(conn, now),
+            Event::Migrate {
+                conn,
+                transport,
+                connect,
+                rest,
+            } => {
+                // Retarget first: pushes that raced the handover scheduled
+                // a flush on the home shard (which no longer owns the
+                // socket); from here on they schedule here, and the flush
+                // below covers anything already queued.
+                if let Transport::Tcp(tcp) = &transport {
+                    tcp.out.retarget(Arc::clone(&self.write_sched));
+                }
+                let sender = transport.sender();
+                if self.adopt(conn, transport) {
+                    self.register(conn, sender, *connect, rest, now);
+                    // Pipelined packets may already sit in the read buffer.
+                    self.drain_rbuf(conn, now);
+                    self.flush(conn, now);
+                }
+            }
+            Event::ConnClosed(conn) => self.close(conn, now),
+            Event::ConnGone(conn) => {
+                self.migrated.remove(&conn);
+            }
+            Event::Deliver(batch) => {
+                self.proto.on_deliver(batch, now);
+                self.reap();
+            }
+            Event::ReleaseHeld(label) => {
+                self.proto.release_held(&label, now);
+                self.reap();
+            }
+            Event::Snapshot { ack } => {
+                self.proto.compact_now();
+                let _ = ack.send(());
+            }
+            Event::Shutdown => return false,
+        }
+        true
+    }
+
+    /// Takes ownership of a transport (fresh, or migrating in). A socket
+    /// the poller refuses is dropped and uncounted.
+    fn adopt(&mut self, conn: ConnId, transport: Transport) -> bool {
+        if let Transport::Tcp(tcp) = &transport {
+            if tcp.register(&mut self.poller, conn).is_err() {
+                self.counters
+                    .connections_current
+                    .fetch_sub(1, Ordering::Relaxed);
+                return false;
+            }
+        }
+        self.transports.insert(conn, transport);
+        true
+    }
+
+    /// One link frame (or hangup) is ready. Exactly one frame is popped
+    /// per notify — the link fires one notify per send and one on drop, so
+    /// notifies ≥ frames + 1 and the final pop observes the hangup.
+    fn on_notify(&mut self, conn: ConnId, now: Instant) {
+        if let Some(&owner) = self.migrated.get(&conn) {
+            // Raced a migration: the hook already targets the owner for
+            // new frames; forward this stale nudge along.
+            self.handles[owner].send(Event::Notify(conn));
+            return;
+        }
+        let Some(Transport::Link { rx, .. }) = self.transports.get(&conn) else {
+            return;
+        };
+        match rx.try_recv_frame() {
+            TryRecv::Frame(frame) => self.on_frame(conn, frame, now),
+            TryRecv::Empty => {}
+            TryRecv::Closed => self.close(conn, now),
+        }
+    }
+
+    /// Socket readable: pull every available byte into the read buffer,
+    /// then decode whole frames. EOF or a read error closes the
+    /// connection after processing what arrived.
+    fn on_readable(&mut self, conn: ConnId, now: Instant) {
+        let Some(Transport::Tcp(tcp)) = self.transports.get_mut(&conn) else {
+            return;
+        };
+        let eof = tcp.fill();
+        self.drain_rbuf(conn, now);
+        if eof {
+            self.close(conn, now);
+        }
+    }
+
+    /// Handles every complete frame in a socket's read buffer. Stops when
+    /// the connection closes or migrates away.
+    fn drain_rbuf(&mut self, conn: ConnId, now: Instant) {
+        loop {
+            let Some(Transport::Tcp(tcp)) = self.transports.get_mut(&conn) else {
+                return;
+            };
+            match tcp.next_frame() {
+                Ok(Some(frame)) => self.on_frame(conn, frame, now),
+                Ok(None) => return,
+                Err(()) => {
+                    self.close(conn, now);
+                    return;
+                }
+            }
+        }
+    }
+
+    /// One inbound frame: protocol traffic once the core knows the
+    /// connection, the CONNECT gate before that.
+    fn on_frame(&mut self, conn: ConnId, frame: Bytes, now: Instant) {
+        if self.proto.has_conn(conn) {
+            self.proto.on_frame(conn, frame, now);
+            self.reap();
+        } else {
+            self.gate_connect(conn, frame, now);
+        }
+    }
+
+    /// The CONNECT gate: the first frame of a parked connection either
+    /// registers it here, migrates it to its owner shard, or gets the
+    /// protocol violator dropped.
+    fn gate_connect(&mut self, conn: ConnId, frame: Bytes, now: Instant) {
+        let connect = match codec::decode(&frame) {
+            Ok((Packet::Connect(c), used)) => Some((c, frame.slice(used..))),
+            // Any other packet before CONNECT is a protocol violation.
+            _ => None,
+        };
+        let Some((connect, rest)) = connect else {
+            self.drop_gated(conn);
+            return;
+        };
+        let Some(sender) = self.transports.get(&conn).map(Transport::sender) else {
+            return;
+        };
+        if connect.client_id.is_empty() {
+            let _ = sender.send_packet(&Packet::Connack(Connack {
+                session_present: false,
+                code: ConnectReturnCode::IdentifierRejected,
+            }));
+            // Best-effort: push the rejection onto the wire before
+            // tearing the transport down.
+            self.flush(conn, now);
+            self.drop_gated(conn);
+            return;
+        }
+        let owner = shard_of(&connect.client_id, self.handles.len());
+        if owner == self.shard {
+            // If registration itself closes the connection, a socket's
+            // drain loop notices: the transport is gone.
+            self.register(conn, sender, connect, rest, now);
+            return;
+        }
+        let Some(transport) = self.transports.remove(&conn) else {
+            return;
+        };
+        let link_target = match &transport {
+            Transport::Link { target, .. } => Some(Arc::clone(target)),
+            Transport::Tcp(tcp) => {
+                tcp.deregister(&mut self.poller);
+                None
+            }
+        };
+        // Order matters for a link: record the forwarding entry, hand the
+        // connection over, then retarget the notify hook. Any nudge that
+        // still lands here is forwarded.
+        if link_target.is_some() {
+            self.migrated.insert(conn, owner);
+        }
+        self.handles[owner].send(Event::Migrate {
+            conn,
+            transport,
+            connect: Box::new(connect),
+            rest,
+        });
+        if let Some(target) = link_target {
+            target.store(owner, Ordering::Release);
+        }
+    }
+
+    /// Hands an accepted CONNECT to the protocol core on the owner shard,
+    /// then whatever packets shared its frame.
+    fn register(
+        &mut self,
+        conn: ConnId,
+        sender: FrameSender,
+        connect: Connect,
+        rest: Bytes,
+        now: Instant,
+    ) {
+        self.proto.on_connect(conn, sender, connect, now);
+        if !rest.is_empty() {
+            self.proto.on_frame(conn, rest, now);
+        }
+        self.reap();
+    }
+
+    /// Closes a connection this shard transports, whether it completed
+    /// CONNECT (full session teardown, will included) or is still gated.
+    fn close(&mut self, conn: ConnId, now: Instant) {
+        if self.proto.has_conn(conn) {
+            self.proto.on_conn_closed(conn, now);
+            self.reap();
+        } else {
+            self.drop_gated(conn);
+        }
+    }
+
+    /// Discards a connection that never completed CONNECT: the protocol
+    /// core never counted it, so the decrement happens here.
+    fn drop_gated(&mut self, conn: ConnId) {
+        if self.release(conn) {
+            self.counters
+                .connections_current
+                .fetch_sub(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Releases the transports of connections the protocol core closed
+    /// during the call that just returned.
+    fn reap(&mut self) {
+        while let Some(conn) = self.proto.closed.pop() {
+            self.release(conn);
+        }
+    }
+
+    /// Tears one transport down: a socket leaves the poller and fails
+    /// further pushes; a link that migrated here tells its home shard to
+    /// drop the forwarding entry. Returns true when it was present.
+    fn release(&mut self, conn: ConnId) -> bool {
+        match self.transports.remove(&conn) {
+            Some(Transport::Tcp(tcp)) => {
+                tcp.deregister(&mut self.poller);
+                tcp.out.mark_closed();
+                if tcp.out.take_eviction_count() {
+                    BrokerCounters::bump(&self.counters.slow_consumer_evictions);
+                }
+                true
+            }
+            Some(Transport::Link { .. }) => {
+                let home = (conn % self.handles.len() as u64) as usize;
+                if home != self.shard {
+                    self.handles[home].send(Event::ConnGone(conn));
+                }
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// Writes a socket's outbound queue. A high-water-mark breach evicts
+    /// the slow consumer (ungraceful, so its will fires); a dead socket
+    /// closes the connection. No-op for links.
+    fn flush(&mut self, conn: ConnId, now: Instant) {
+        let Some(Transport::Tcp(tcp)) = self.transports.get_mut(&conn) else {
+            return;
+        };
+        match tcp.flush(&mut self.poller, conn) {
+            Flushed::Ok => {}
+            Flushed::Evicted | Flushed::Dead => self.close(conn, now),
+        }
+    }
+}

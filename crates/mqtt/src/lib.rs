@@ -39,6 +39,7 @@ pub mod bridge;
 pub mod broker;
 pub mod client;
 pub mod codec;
+mod crc32;
 pub mod error;
 pub mod fault;
 pub mod index;
@@ -55,6 +56,7 @@ pub mod trie;
 pub use bridge::{Bridge, BridgeConfig, BridgeDirection, BridgeTopic};
 pub use broker::{Broker, BrokerConfig, BRIDGE_PREFIX};
 pub use client::{Client, ClientOptions, Dialer, MessageHandler};
+pub use crc32::crc32;
 pub use error::{ConnectReturnCode, MqttError, Result};
 pub use fault::{FaultAction, FaultHandle, FaultPlan, FaultRule};
 pub use packet::{LastWill, Packet, Publish, QoS};

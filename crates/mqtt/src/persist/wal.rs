@@ -14,73 +14,12 @@
 //! checksum, unknown kind, or malformed body) — a torn tail from a crash
 //! mid-append loses only the record being written, never the prefix.
 
+use crate::crc32;
 use crate::packet::{LastWill, PacketId, QoS};
 use crate::topic::{TopicFilter, TopicName};
 use bytes::{BufMut, Bytes, BytesMut};
 use std::io::{Seek, SeekFrom, Write};
 use std::path::Path;
-
-/// CRC-32 (IEEE 802.3) slicing-by-8 tables, built at compile time.
-///
-/// `CRC_TABLES[0]` is the classic byte-at-a-time table; tables 1..8
-/// fold 8 input bytes per iteration so the serial
-/// table-load-per-byte dependency chain (~5 cycles/byte) becomes eight
-/// independent loads per 8 bytes. Frames are checksummed on both the
-/// persistence hot path and recovery replay, so this is worth the
-/// 8 KiB of tables.
-const CRC_TABLES: [[u32; 256]; 8] = build_crc_tables();
-
-const fn build_crc_tables() -> [[u32; 256]; 8] {
-    let mut tables = [[0u32; 256]; 8];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        tables[0][i] = c;
-        i += 1;
-    }
-    let mut t = 1;
-    while t < 8 {
-        let mut i = 0;
-        while i < 256 {
-            let prev = tables[t - 1][i];
-            tables[t][i] = tables[0][(prev & 0xFF) as usize] ^ (prev >> 8);
-            i += 1;
-        }
-        t += 1;
-    }
-    tables
-}
-
-/// CRC-32 (IEEE) of `data`, the per-frame checksum.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    let mut chunks = data.chunks_exact(8);
-    for chunk in &mut chunks {
-        let lo = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]) ^ c;
-        let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
-        c = CRC_TABLES[7][(lo & 0xFF) as usize]
-            ^ CRC_TABLES[6][((lo >> 8) & 0xFF) as usize]
-            ^ CRC_TABLES[5][((lo >> 16) & 0xFF) as usize]
-            ^ CRC_TABLES[4][(lo >> 24) as usize]
-            ^ CRC_TABLES[3][(hi & 0xFF) as usize]
-            ^ CRC_TABLES[2][((hi >> 8) & 0xFF) as usize]
-            ^ CRC_TABLES[1][((hi >> 16) & 0xFF) as usize]
-            ^ CRC_TABLES[0][(hi >> 24) as usize];
-    }
-    for &b in chunks.remainder() {
-        c = CRC_TABLES[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c ^ 0xFFFF_FFFF
-}
 
 // Record kind bytes. Kind 0 is the snapshot watermark header.
 const K_WATERMARK: u8 = 0;
@@ -734,12 +673,6 @@ mod tests {
         let decoded = decode_frames(&data);
         assert_eq!(decoded.len(), 1, "decoding stops at the corrupt frame");
         assert_eq!(decoded[0].1, sample_records()[0]);
-    }
-
-    #[test]
-    fn crc32_known_vector() {
-        // "123456789" → 0xCBF43926 (the IEEE check value).
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
     }
 
     #[test]

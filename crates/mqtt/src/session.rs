@@ -107,9 +107,12 @@ impl Session {
     }
 
     /// Takes the current inflight map for retransmission on reconnect
-    /// (entries are re-inserted by the broker as it resends with DUP=1).
+    /// (entries are re-inserted by the broker as it resends with DUP=1),
+    /// in packet-id order so the resend order does not vary run to run.
     pub fn take_inflight(&mut self) -> Vec<(PacketId, InflightOut)> {
-        self.inflight_out.drain().collect()
+        let mut inflight: Vec<_> = self.inflight_out.drain().collect();
+        inflight.sort_unstable_by_key(|(id, _)| *id);
+        inflight
     }
 }
 

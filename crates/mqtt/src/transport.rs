@@ -9,12 +9,11 @@
 //! Since the reactor refactor the broker no longer spawns a reader thread
 //! per connection, so a link carries an optional **incoming-notify hook**
 //! per direction: when the broker attaches an end, it installs a hook on
-//! the client→broker direction that enqueues a `LinkNotify` mailbox event
+//! the client→broker direction that enqueues a `Notify` mailbox event
 //! (and wakes the owner shard) after every send — and when the client's
 //! last send handle drops, so closure is observed too. The frames
-//! themselves stay in the channel, which keeps bounded links blocking on
-//! a full queue (the in-process model of TCP flow control) and keeps the
-//! one-frame-per-notify pop order deterministic.
+//! themselves stay in the channel, which keeps the one-frame-per-notify
+//! pop order deterministic.
 //!
 //! [`FrameSender`] abstracts over the two broker-side send paths: an
 //! in-process channel half, or a [`TcpOutbound`] write queue flushed by
@@ -26,7 +25,7 @@ use crate::error::{MqttError, Result};
 use crate::packet::Packet;
 use crate::reactor::WriteScheduler;
 use bytes::Bytes;
-use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender, TrySendError};
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -141,23 +140,8 @@ impl std::fmt::Debug for LinkEnd {
 
 /// Creates a connected pair of link ends with unbounded buffering.
 pub fn link() -> (LinkEnd, LinkEnd) {
-    link_with_capacity(None)
-}
-
-/// Creates a connected pair of link ends.
-///
-/// `capacity` bounds each direction's in-flight frame queue; `None` means
-/// unbounded. A bounded link applies backpressure: sends block when full,
-/// which mimics TCP flow control.
-pub fn link_with_capacity(capacity: Option<usize>) -> (LinkEnd, LinkEnd) {
-    let (a_tx, b_rx) = match capacity {
-        Some(c) => bounded(c),
-        None => unbounded(),
-    };
-    let (b_tx, a_rx) = match capacity {
-        Some(c) => bounded(c),
-        None => unbounded(),
-    };
+    let (a_tx, b_rx) = unbounded();
+    let (b_tx, a_rx) = unbounded();
     let stats = Arc::new(LinkStats::default());
     let a_to_b = Arc::new(NotifySlot::default());
     let b_to_a = Arc::new(NotifySlot::default());
@@ -182,21 +166,12 @@ pub fn link_with_capacity(capacity: Option<usize>) -> (LinkEnd, LinkEnd) {
 }
 
 impl LinkEnd {
-    /// Sends a raw frame. Blocks if the link is bounded and full.
+    /// Sends a raw frame.
     pub fn send_frame(&self, frame: Bytes) -> Result<()> {
         self.record_sent(frame.len());
         self.tx.send(frame).map_err(|_| MqttError::Disconnected)?;
         self.tx_notify.0.fire();
         Ok(())
-    }
-
-    /// Attempts to send without blocking; returns the frame on a full queue.
-    pub fn try_send_frame(&self, frame: Bytes) -> std::result::Result<(), TrySendError<Bytes>> {
-        let len = frame.len();
-        self.tx.try_send(frame).inspect(|_| {
-            self.record_sent(len);
-            self.tx_notify.0.fire();
-        })
     }
 
     /// Encodes and sends one packet.
@@ -234,13 +209,6 @@ impl LinkEnd {
     /// Shared traffic counters for this link.
     pub fn stats(&self) -> &Arc<LinkStats> {
         &self.stats
-    }
-
-    /// True if the peer end has been dropped.
-    pub fn is_closed(&self) -> bool {
-        // A send to a channel with no receiver fails; probe cheaply via the
-        // receiver side (closed when the sender half is dropped *and* empty).
-        self.tx.is_full() && self.tx.capacity() == Some(0)
     }
 
     /// Installs the hook fired whenever the *peer* sends toward this end

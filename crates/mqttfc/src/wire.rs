@@ -9,7 +9,7 @@
 //!   [`crate::batching`]).
 //!
 //! Both use a compact length-prefixed binary layout. A CRC32 (IEEE
-//! polynomial, table-driven) protects each chunk so reassembly can reject
+//! polynomial) protects each chunk so reassembly can reject
 //! corrupted or mixed-up transfers.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
@@ -47,34 +47,9 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-// ---------------------------------------------------------------------------
-// CRC32 (IEEE), table-driven
-// ---------------------------------------------------------------------------
-
-/// Computes the IEEE CRC32 of `data`.
-pub fn crc32(data: &[u8]) -> u32 {
-    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut table = [0u32; 256];
-        for (i, entry) in table.iter_mut().enumerate() {
-            let mut crc = i as u32;
-            for _ in 0..8 {
-                crc = if crc & 1 != 0 {
-                    0xEDB8_8320 ^ (crc >> 1)
-                } else {
-                    crc >> 1
-                };
-            }
-            *entry = crc;
-        }
-        table
-    });
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        crc = table[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
-    }
-    !crc
-}
+/// The IEEE CRC-32 that protects chunks and whole payloads: the
+/// workspace's one implementation, shared with the broker's WAL frames.
+pub use sdflmq_mqtt::crc32;
 
 // ---------------------------------------------------------------------------
 // Varints (LEB128) — shared by the RFC layer and the SDFLMQ control-plane
@@ -341,13 +316,6 @@ mod tests {
         assert_eq!(get_varint(&mut Bytes::from_static(&[0x80])), None);
         // 11-byte varint: overflow.
         assert_eq!(get_varint(&mut Bytes::from_static(&[0xFF; 11])), None);
-    }
-
-    #[test]
-    fn crc32_known_vectors() {
-        // Standard test vector: CRC32("123456789") = 0xCBF43926.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
     }
 
     #[test]

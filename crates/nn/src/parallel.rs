@@ -276,34 +276,6 @@ where
     });
 }
 
-/// Maps `f` over index ranges `[0, len)` split into `parts` contiguous
-/// ranges, collecting each part's result in order. Used for parallel
-/// reductions where each worker owns a private accumulator.
-pub fn map_ranges<R: Send, F>(len: usize, parts: usize, f: F) -> Vec<R>
-where
-    F: Fn(std::ops::Range<usize>) -> R + Sync,
-{
-    let parts = parts.clamp(1, len.max(1));
-    let per = len.div_ceil(parts);
-    if parts == 1 {
-        return vec![f(0..len)];
-    }
-    let mut out: Vec<Option<R>> = (0..parts).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        for (idx, slot) in out.iter_mut().enumerate() {
-            let f = &f;
-            let start = idx * per;
-            let end = ((idx + 1) * per).min(len);
-            scope.spawn(move || {
-                *slot = Some(f(start..end));
-            });
-        }
-    });
-    out.into_iter()
-        .map(|r| r.expect("worker finished"))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -346,20 +318,6 @@ mod tests {
     fn empty_input_is_noop() {
         let mut data: Vec<u8> = vec![];
         for_each_chunk_mut(&mut data, 8, |_, _| panic!("must not be called"));
-    }
-
-    #[test]
-    fn map_ranges_partitions_exactly() {
-        let sums = map_ranges(1000, 7, |range| range.sum::<usize>());
-        let total: usize = sums.iter().sum();
-        assert_eq!(total, (0..1000).sum::<usize>());
-        assert_eq!(sums.len(), 7);
-    }
-
-    #[test]
-    fn map_ranges_single_part() {
-        let sums = map_ranges(10, 1, |range| range.len());
-        assert_eq!(sums, vec![10]);
     }
 
     #[test]

@@ -11,8 +11,10 @@
 //! | [`dataset`] | `sdflmq-dataset` | synthetic digit data + federated partitioning |
 //! | [`sim`] | `sdflmq-sim` | virtual clock, event queue, network & system models |
 //!
-//! See the repository README for a quickstart and `DESIGN.md` for the
-//! system inventory and paper-experiment index.
+//! `examples/quickstart.rs` is the shortest full FL session; `docs/`
+//! holds the design (`ARCHITECTURE.md`, `PROTOCOL.md`, `PERSISTENCE.md`,
+//! `TESTING.md`), `ROADMAP.md` the open items, and `benchmark/` the
+//! round-level benchmark every performance claim is made against.
 
 pub use sdflmq_core as core;
 pub use sdflmq_dataset as dataset;
