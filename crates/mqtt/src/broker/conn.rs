@@ -10,13 +10,13 @@
 use super::ConnId;
 use crate::codec;
 use crate::reactor::{Poller, WriteScheduler};
-use crate::transport::{FrameReceiver, FrameSender, TcpOutbound};
+use crate::transport::{FrameReceiver, FrameSender, TcpOutbound, TryRecv};
 use bytes::Bytes;
 use std::collections::VecDeque;
 use std::io::{self, IoSlice, Read, Write};
 use std::net::TcpStream;
 use std::os::fd::AsRawFd;
-use std::sync::atomic::AtomicUsize;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 pub(super) enum Transport {
@@ -40,6 +40,62 @@ impl Transport {
             Transport::Tcp(tcp) => FrameSender::from_tcp(Arc::clone(&tcp.out)),
         }
     }
+
+    /// Starts reporting a socket's readability under token `conn` (a link
+    /// reports through its notify hook, which is already installed).
+    pub(super) fn register(&self, poller: &mut Poller, conn: ConnId) -> io::Result<()> {
+        match self {
+            Transport::Link { .. } => Ok(()),
+            Transport::Tcp(tcp) => poller.add(tcp.stream.as_raw_fd(), conn, true, false),
+        }
+    }
+
+    /// Stops watching a socket (migration hand-off or teardown).
+    pub(super) fn deregister(&self, poller: &mut Poller) {
+        if let Transport::Tcp(tcp) = self {
+            let _ = poller.remove(tcp.stream.as_raw_fd());
+        }
+    }
+
+    /// Points the connection's wake-ups at shard `owner`: a link's notify
+    /// hook, a socket's flush scheduling.
+    pub(super) fn retarget(&self, owner: usize, sched: &Arc<WriteScheduler>) {
+        match self {
+            Transport::Link { target, .. } => target.store(owner, Ordering::Release),
+            Transport::Tcp(tcp) => tcp.out.retarget(Arc::clone(sched)),
+        }
+    }
+
+    /// The next complete inbound frame. `Closed` is a link whose peer
+    /// hung up, or a socket whose buffered bytes no frame can start with.
+    pub(super) fn next_frame(&mut self) -> TryRecv {
+        match self {
+            Transport::Link { rx, .. } => rx.try_recv_frame(),
+            Transport::Tcp(tcp) => tcp.next_frame(),
+        }
+    }
+
+    /// How many `next_frame` calls catch up on what is already waiting:
+    /// a link's queued frames plus one for a hangup behind them, or a
+    /// socket's whole read buffer.
+    pub(super) fn backlog(&self) -> usize {
+        match self {
+            Transport::Link { rx, .. } => rx.queued() + 1,
+            Transport::Tcp(_) => usize::MAX,
+        }
+    }
+
+    /// Fails further pushes to a socket's outbound queue. Returns true
+    /// when this closes a slow consumer whose eviction is not yet counted.
+    pub(super) fn shut(&self) -> bool {
+        match self {
+            Transport::Link { .. } => false,
+            Transport::Tcp(tcp) => {
+                tcp.out.mark_closed();
+                tcp.out.take_eviction_count()
+            }
+        }
+    }
 }
 
 /// What a flush pass left behind.
@@ -60,7 +116,7 @@ pub(super) struct TcpConn {
     /// readiness events, and across a migration).
     rbuf: Vec<u8>,
     /// Outbound queue shared with every routing shard's [`FrameSender`].
-    pub(super) out: Arc<TcpOutbound>,
+    out: Arc<TcpOutbound>,
     /// Frames drained from `out` and currently being written.
     writing: VecDeque<Bytes>,
     /// Bytes of `writing.front()` already written.
@@ -91,16 +147,6 @@ impl TcpConn {
         })
     }
 
-    /// Starts watching the socket for readability under token `conn`.
-    pub(super) fn register(&self, poller: &mut Poller, conn: ConnId) -> io::Result<()> {
-        poller.add(self.stream.as_raw_fd(), conn, true, false)
-    }
-
-    /// Stops watching the socket (migration hand-off or teardown).
-    pub(super) fn deregister(&self, poller: &mut Poller) {
-        let _ = poller.remove(self.stream.as_raw_fd());
-    }
-
     /// Pulls every available byte into the read buffer. Returns true on
     /// EOF or a read error (the caller closes the connection after
     /// processing what arrived).
@@ -127,16 +173,15 @@ impl TcpConn {
     }
 
     /// Pops the next complete frame off the read buffer. TCP frames are
-    /// single packets (framed by [`codec::frame_length`]); `Err` means the
-    /// buffer holds bytes no frame can start with.
-    pub(super) fn next_frame(&mut self) -> Result<Option<Bytes>, ()> {
+    /// single packets (framed by [`codec::frame_length`]).
+    fn next_frame(&mut self) -> TryRecv {
         match codec::frame_length(&self.rbuf) {
             Ok(Some(len)) if self.rbuf.len() >= len => {
                 let bytes: Vec<u8> = self.rbuf.drain(..len).collect();
-                Ok(Some(Bytes::from(bytes)))
+                TryRecv::Frame(Bytes::from(bytes))
             }
-            Ok(_) => Ok(None),
-            Err(_) => Err(()),
+            Ok(_) => TryRecv::Empty,
+            Err(_) => TryRecv::Closed,
         }
     }
 

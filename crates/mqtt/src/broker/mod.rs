@@ -188,9 +188,6 @@ enum Event {
         rest: Bytes,
     },
     ConnClosed(ConnId),
-    /// A migrated link connection closed at its owner; the home shard
-    /// drops its forwarding entry.
-    ConnGone(ConnId),
     /// Cross-shard delivery hops, coalesced per target shard (the fault
     /// plan was already evaluated by the routing shard). A routing shard
     /// drains its mailbox, buffers every hop, and sends one batch per
@@ -212,6 +209,19 @@ enum Event {
 struct ShardHandle {
     tx: Sender<Event>,
     wake: WakeHandle,
+    /// The flush queue sockets owned by this shard schedule with.
+    write_sched: Arc<WriteScheduler>,
+}
+
+impl ShardHandle {
+    fn new(tx: Sender<Event>, wake: WakeHandle) -> ShardHandle {
+        let write_sched = Arc::new(WriteScheduler::new(wake.clone()));
+        ShardHandle {
+            tx,
+            wake,
+            write_sched,
+        }
+    }
 }
 
 impl ShardHandle {
@@ -241,9 +251,7 @@ pub struct Broker {
     loop_handles: Vec<JoinHandle<()>>,
     listeners: Mutex<Vec<ListenerState>>,
     persist: Option<Arc<PersistStore>>,
-    /// Per-shard flush queues a fresh TCP connection's outbound queue
-    /// schedules with, and the slow-consumer watermark it is built with.
-    write_scheds: Vec<Arc<WriteScheduler>>,
+    /// Slow-consumer watermark every accepted socket is built with.
     tcp_write_hwm: u64,
 }
 
@@ -347,12 +355,11 @@ impl Broker {
         for _ in 0..shards {
             let (tx, rx) = unbounded();
             let (wake, wake_rx) = waker().expect("create shard waker");
-            handles.push(ShardHandle { tx, wake });
+            handles.push(ShardHandle::new(tx, wake));
             mailboxes.push((rx, wake_rx));
         }
 
         let mut loop_handles = Vec::with_capacity(shards);
-        let mut write_scheds = Vec::with_capacity(shards);
         let recovered = shard_sessions.into_iter().zip(shard_wills);
         for (shard, ((rx, wake_rx), (sessions, wills))) in
             mailboxes.into_iter().zip(recovered).enumerate()
@@ -366,7 +373,6 @@ impl Broker {
                 wake_rx,
                 persist.clone(),
             );
-            write_scheds.push(shard_loop.write_sched());
             loop_handles.push(
                 std::thread::Builder::new()
                     .name(format!("{name}-shard-{shard}"))
@@ -384,7 +390,6 @@ impl Broker {
             loop_handles,
             listeners: Mutex::new(Vec::new()),
             persist,
-            write_scheds,
             tcp_write_hwm: config.tcp_write_hwm as u64,
         }
     }
@@ -466,7 +471,6 @@ impl Broker {
         let handles = self.handles.clone();
         let counters = Arc::clone(&self.counters);
         let next_conn = Arc::clone(&self.next_conn);
-        let scheds = self.write_scheds.clone();
         let hwm = self.tcp_write_hwm;
         let handle = std::thread::Builder::new()
             .name(format!("{}-accept", self.name))
@@ -478,7 +482,8 @@ impl Broker {
                     let Ok(stream) = stream else { continue };
                     let conn = next_conn.fetch_add(1, Ordering::Relaxed);
                     let home = (conn % handles.len() as u64) as usize;
-                    let Ok(tcp) = TcpConn::new(conn, stream, hwm, Arc::clone(&scheds[home])) else {
+                    let sched = Arc::clone(&handles[home].write_sched);
+                    let Ok(tcp) = TcpConn::new(conn, stream, hwm, sched) else {
                         continue;
                     };
                     BrokerCounters::bump(&counters.connections_total);

@@ -39,7 +39,7 @@ impl Rig {
             &BrokerConfig::default(),
             &counters,
             &index,
-            vec![ShardHandle { tx, wake }],
+            vec![ShardHandle::new(tx, wake)],
             None,
             now,
         );

@@ -40,9 +40,6 @@ pub(super) struct Shard {
     /// does not know yet is still CONNECT-gated (and parked on its home
     /// shard).
     transports: HashMap<ConnId, Transport>,
-    /// Link connections this (home) shard migrated away: notify events
-    /// that still land here are forwarded to the owner shard.
-    migrated: HashMap<ConnId, usize>,
 }
 
 impl Shard {
@@ -59,7 +56,7 @@ impl Shard {
         poller
             .add(wake_rx.fd(), WAKE_TOKEN, true, false)
             .expect("register shard waker");
-        let write_sched = Arc::new(WriteScheduler::new(handles[shard].wake.clone()));
+        let write_sched = Arc::clone(&handles[shard].write_sched);
         Shard {
             shard,
             proto: ShardProto::new(
@@ -77,13 +74,7 @@ impl Shard {
             wake_rx,
             write_sched,
             transports: HashMap::new(),
-            migrated: HashMap::new(),
         }
-    }
-
-    /// The flush queue TCP connections owned by this shard schedule with.
-    pub(super) fn write_sched(&self) -> Arc<WriteScheduler> {
-        Arc::clone(&self.write_sched)
     }
 
     /// Runs the shard until shutdown. `sessions` and `wills` are what
@@ -170,38 +161,34 @@ impl Shard {
     fn handle(&mut self, event: Event, now: Instant) -> bool {
         match event {
             Event::Attach { conn, transport } => {
-                if self.adopt(conn, transport) {
-                    // Link frames may have arrived before the attach event
-                    // did (a socket's are re-reported by the poller).
-                    self.on_notify(conn, now);
-                }
+                self.adopt(conn, transport);
             }
-            Event::Notify(conn) => self.on_notify(conn, now),
+            // One link frame (or hangup) is ready. Exactly one is taken
+            // per notify — the link fires one notify per send and one on
+            // drop, so notifies ≥ frames + 1 and the last one sees the
+            // hangup. A notify for a connection that is on its way to
+            // another shard finds nothing here; the owner catches up on
+            // arrival.
+            Event::Notify(conn) => self.drain(conn, 1, now),
             Event::Migrate {
                 conn,
                 transport,
                 connect,
                 rest,
             } => {
-                // Retarget first: pushes that raced the handover scheduled
-                // a flush on the home shard (which no longer owns the
-                // socket); from here on they schedule here, and the flush
-                // below covers anything already queued.
-                if let Transport::Tcp(tcp) = &transport {
-                    tcp.out.retarget(Arc::clone(&self.write_sched));
-                }
                 let sender = transport.sender();
+                let backlog = transport.backlog();
                 if self.adopt(conn, transport) {
                     self.register(conn, sender, *connect, rest, now);
-                    // Pipelined packets may already sit in the read buffer.
-                    self.drain_rbuf(conn, now);
+                    // Catch up on the hand-over: frames whose nudge found
+                    // the connection on neither shard, bytes pipelined
+                    // into a socket's read buffer, and pushes that
+                    // scheduled a flush before the socket was here.
+                    self.drain(conn, backlog, now);
                     self.flush(conn, now);
                 }
             }
             Event::ConnClosed(conn) => self.close(conn, now),
-            Event::ConnGone(conn) => {
-                self.migrated.remove(&conn);
-            }
             Event::Deliver(batch) => {
                 self.proto.on_deliver(batch, now);
                 self.reap();
@@ -222,63 +209,41 @@ impl Shard {
     /// Takes ownership of a transport (fresh, or migrating in). A socket
     /// the poller refuses is dropped and uncounted.
     fn adopt(&mut self, conn: ConnId, transport: Transport) -> bool {
-        if let Transport::Tcp(tcp) = &transport {
-            if tcp.register(&mut self.poller, conn).is_err() {
-                self.counters
-                    .connections_current
-                    .fetch_sub(1, Ordering::Relaxed);
-                return false;
-            }
+        if transport.register(&mut self.poller, conn).is_err() {
+            self.counters
+                .connections_current
+                .fetch_sub(1, Ordering::Relaxed);
+            return false;
         }
         self.transports.insert(conn, transport);
         true
     }
 
-    /// One link frame (or hangup) is ready. Exactly one frame is popped
-    /// per notify — the link fires one notify per send and one on drop, so
-    /// notifies ≥ frames + 1 and the final pop observes the hangup.
-    fn on_notify(&mut self, conn: ConnId, now: Instant) {
-        if let Some(&owner) = self.migrated.get(&conn) {
-            // Raced a migration: the hook already targets the owner for
-            // new frames; forward this stale nudge along.
-            self.handles[owner].send(Event::Notify(conn));
-            return;
-        }
-        let Some(Transport::Link { rx, .. }) = self.transports.get(&conn) else {
-            return;
-        };
-        match rx.try_recv_frame() {
-            TryRecv::Frame(frame) => self.on_frame(conn, frame, now),
-            TryRecv::Empty => {}
-            TryRecv::Closed => self.close(conn, now),
-        }
-    }
-
     /// Socket readable: pull every available byte into the read buffer,
-    /// then decode whole frames. EOF or a read error closes the
+    /// then handle whole frames. EOF or a read error closes the
     /// connection after processing what arrived.
     fn on_readable(&mut self, conn: ConnId, now: Instant) {
         let Some(Transport::Tcp(tcp)) = self.transports.get_mut(&conn) else {
             return;
         };
         let eof = tcp.fill();
-        self.drain_rbuf(conn, now);
+        self.drain(conn, usize::MAX, now);
         if eof {
             self.close(conn, now);
         }
     }
 
-    /// Handles every complete frame in a socket's read buffer. Stops when
+    /// Handles up to `limit` frames already waiting on `conn`. Stops when
     /// the connection closes or migrates away.
-    fn drain_rbuf(&mut self, conn: ConnId, now: Instant) {
-        loop {
-            let Some(Transport::Tcp(tcp)) = self.transports.get_mut(&conn) else {
+    fn drain(&mut self, conn: ConnId, limit: usize, now: Instant) {
+        for _ in 0..limit {
+            let Some(transport) = self.transports.get_mut(&conn) else {
                 return;
             };
-            match tcp.next_frame() {
-                Ok(Some(frame)) => self.on_frame(conn, frame, now),
-                Ok(None) => return,
-                Err(()) => {
+            match transport.next_frame() {
+                TryRecv::Frame(frame) => self.on_frame(conn, frame, now),
+                TryRecv::Empty => return,
+                TryRecv::Closed => {
                     self.close(conn, now);
                     return;
                 }
@@ -301,15 +266,12 @@ impl Shard {
     /// registers it here, migrates it to its owner shard, or gets the
     /// protocol violator dropped.
     fn gate_connect(&mut self, conn: ConnId, frame: Bytes, now: Instant) {
-        let connect = match codec::decode(&frame) {
-            Ok((Packet::Connect(c), used)) => Some((c, frame.slice(used..))),
-            // Any other packet before CONNECT is a protocol violation.
-            _ => None,
-        };
-        let Some((connect, rest)) = connect else {
+        // Any other packet before CONNECT is a protocol violation.
+        let Ok((Packet::Connect(connect), used)) = codec::decode(&frame) else {
             self.drop_gated(conn);
             return;
         };
+        let rest = frame.slice(used..);
         let Some(sender) = self.transports.get(&conn).map(Transport::sender) else {
             return;
         };
@@ -326,36 +288,26 @@ impl Shard {
         }
         let owner = shard_of(&connect.client_id, self.handles.len());
         if owner == self.shard {
-            // If registration itself closes the connection, a socket's
-            // drain loop notices: the transport is gone.
+            // If registration itself closes the connection, the drain
+            // loop above notices: the transport is gone.
             self.register(conn, sender, connect, rest, now);
             return;
         }
         let Some(transport) = self.transports.remove(&conn) else {
             return;
         };
-        let link_target = match &transport {
-            Transport::Link { target, .. } => Some(Arc::clone(target)),
-            Transport::Tcp(tcp) => {
-                tcp.deregister(&mut self.poller);
-                None
-            }
-        };
-        // Order matters for a link: record the forwarding entry, hand the
-        // connection over, then retarget the notify hook. Any nudge that
-        // still lands here is forwarded.
-        if link_target.is_some() {
-            self.migrated.insert(conn, owner);
-        }
+        transport.deregister(&mut self.poller);
+        // Retarget before the hand-over, so nothing is aimed at this shard
+        // once the connection has left it. A nudge or scheduled flush that
+        // beats the Migrate event to the owner is dropped there; the owner
+        // catches up when the connection arrives.
+        transport.retarget(owner, &self.handles[owner].write_sched);
         self.handles[owner].send(Event::Migrate {
             conn,
             transport,
             connect: Box::new(connect),
             rest,
         });
-        if let Some(target) = link_target {
-            target.store(owner, Ordering::Release);
-        }
     }
 
     /// Hands an accepted CONNECT to the protocol core on the owner shard,
@@ -405,27 +357,16 @@ impl Shard {
     }
 
     /// Tears one transport down: a socket leaves the poller and fails
-    /// further pushes; a link that migrated here tells its home shard to
-    /// drop the forwarding entry. Returns true when it was present.
+    /// further pushes. Returns true when it was present.
     fn release(&mut self, conn: ConnId) -> bool {
-        match self.transports.remove(&conn) {
-            Some(Transport::Tcp(tcp)) => {
-                tcp.deregister(&mut self.poller);
-                tcp.out.mark_closed();
-                if tcp.out.take_eviction_count() {
-                    BrokerCounters::bump(&self.counters.slow_consumer_evictions);
-                }
-                true
-            }
-            Some(Transport::Link { .. }) => {
-                let home = (conn % self.handles.len() as u64) as usize;
-                if home != self.shard {
-                    self.handles[home].send(Event::ConnGone(conn));
-                }
-                true
-            }
-            None => false,
+        let Some(transport) = self.transports.remove(&conn) else {
+            return false;
+        };
+        transport.deregister(&mut self.poller);
+        if transport.shut() {
+            BrokerCounters::bump(&self.counters.slow_consumer_evictions);
         }
+        true
     }
 
     /// Writes a socket's outbound queue. A high-water-mark breach evicts

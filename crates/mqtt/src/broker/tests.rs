@@ -683,3 +683,48 @@ fn connect_gate_is_the_same_for_links_and_sockets() {
         });
     }
 }
+
+/// A link's nudges are aimed at one shard at a time, so frames (and a
+/// hangup) sent while the connection is between shards have theirs
+/// dropped; the owner must catch up on arrival.
+#[test]
+fn frames_and_hangups_racing_a_link_migration_are_not_lost() {
+    let broker = sharded(8);
+    std::thread::scope(|scope| {
+        for t in 0..4 {
+            let broker = &broker;
+            scope.spawn(move || {
+                for i in 0..200 {
+                    let end = broker.connect_transport().unwrap();
+                    end.send_packet(&connect_packet(&format!("race-{t}-{i}")))
+                        .unwrap();
+                    if i % 4 == 0 {
+                        // Hang up right behind the CONNECT.
+                        continue;
+                    }
+                    // No waiting for the CONNACK: these race the hand-over.
+                    end.send_packet(&Packet::Subscribe(Subscribe {
+                        packet_id: 3,
+                        filters: vec![(TopicFilter::new("race/#").unwrap(), QoS::AtMostOnce)],
+                    }))
+                    .unwrap();
+                    end.send_packet(&Packet::Pingreq).unwrap();
+                    let wait = Duration::from_secs(30);
+                    assert!(matches!(
+                        end.recv_packet_timeout(wait).unwrap(),
+                        Packet::Connack(_)
+                    ));
+                    assert!(matches!(
+                        end.recv_packet_timeout(wait).unwrap(),
+                        Packet::Suback(_)
+                    ));
+                    assert_eq!(end.recv_packet_timeout(wait).unwrap(), Packet::Pingresp);
+                }
+            });
+        }
+    });
+    eventually("every connection, raced or not, was closed", || {
+        broker.stats().connections_current == 0
+    });
+    assert_eq!(broker.stats().connections_total, 800);
+}

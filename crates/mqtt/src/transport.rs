@@ -376,6 +376,11 @@ impl FrameReceiver {
         })
     }
 
+    /// Frames queued right now.
+    pub(crate) fn queued(&self) -> usize {
+        self.rx.len()
+    }
+
     /// Pops one frame without blocking (the reactor's per-notify pop).
     pub(crate) fn try_recv_frame(&self) -> TryRecv {
         use crossbeam::channel::TryRecvError;
