@@ -98,16 +98,6 @@ impl Transport {
     }
 }
 
-/// What a flush pass left behind.
-pub(super) enum Flushed {
-    /// Everything written, or the poller now watches for writability.
-    Ok,
-    /// The outbound queue crossed the slow-consumer watermark.
-    Evicted,
-    /// The socket is gone.
-    Dead,
-}
-
 /// Reactor-side state of one TCP connection: the nonblocking socket, its
 /// partial-frame read buffer, and the in-progress write queue.
 pub(super) struct TcpConn {
@@ -186,12 +176,14 @@ impl TcpConn {
     }
 
     /// Drains the outbound queue to the socket with vectored writes. On
-    /// `WouldBlock` the poller starts watching writability.
-    pub(super) fn flush(&mut self, poller: &mut Poller, conn: ConnId) -> Flushed {
+    /// `WouldBlock` the poller starts watching writability. Returns false
+    /// when the connection must close: the queue crossed the
+    /// slow-consumer watermark, or the socket is gone.
+    pub(super) fn flush(&mut self, poller: &mut Poller, conn: ConnId) -> bool {
         self.out.begin_flush();
         self.out.drain_into(&mut self.writing);
         if self.out.is_evicted() {
-            return Flushed::Evicted;
+            return false;
         }
         let fd = self.stream.as_raw_fd();
         while !self.writing.is_empty() {
@@ -207,7 +199,7 @@ impl TcpConn {
                 self.stream.write_vectored(&slices)
             };
             match res {
-                Ok(0) => return Flushed::Dead,
+                Ok(0) => return false,
                 Ok(n) => {
                     self.out.note_written(n as u64);
                     let mut left = n;
@@ -228,16 +220,16 @@ impl TcpConn {
                         self.want_write = true;
                         let _ = poller.modify(fd, conn, true, true);
                     }
-                    return Flushed::Ok;
+                    return true;
                 }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => return Flushed::Dead,
+                Err(_) => return false,
             }
         }
         if self.want_write {
             self.want_write = false;
             let _ = poller.modify(fd, conn, true, false);
         }
-        Flushed::Ok
+        true
     }
 }

@@ -114,6 +114,7 @@ impl FanoutFrames {
         slot.as_ref()
     }
 }
+
 impl ShardProto {
     /// Routes a publish to every matching subscriber and updates the
     /// retained store. Matching runs against the current index snapshot —

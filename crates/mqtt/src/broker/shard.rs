@@ -9,7 +9,7 @@
 //! `Migrate` to its owner shard, then frames into the core until one
 //! teardown.
 
-use super::conn::{Flushed, Transport};
+use super::conn::Transport;
 use super::proto::ShardProto;
 use super::{shard_of, BrokerConfig, ConnId, Event, ShardHandle};
 use crate::codec;
@@ -29,13 +29,9 @@ use std::sync::Arc;
 use std::time::Instant;
 
 pub(super) struct Shard {
-    shard: usize,
     proto: ShardProto,
-    counters: Arc<BrokerCounters>,
-    handles: Vec<ShardHandle>,
     poller: Poller,
     wake_rx: WakeReceiver,
-    write_sched: Arc<WriteScheduler>,
     /// Every connection this shard transports. One that the protocol core
     /// does not know yet is still CONNECT-gated (and parked on its home
     /// shard).
@@ -56,25 +52,26 @@ impl Shard {
         poller
             .add(wake_rx.fd(), WAKE_TOKEN, true, false)
             .expect("register shard waker");
-        let write_sched = Arc::clone(&handles[shard].write_sched);
-        Shard {
+        let proto = ShardProto::new(
             shard,
-            proto: ShardProto::new(
-                shard,
-                config,
-                counters,
-                index,
-                handles.clone(),
-                persist,
-                Instant::now(),
-            ),
-            counters: Arc::clone(counters),
+            config,
+            counters,
+            index,
             handles,
+            persist,
+            Instant::now(),
+        );
+        Shard {
+            proto,
             poller,
             wake_rx,
-            write_sched,
             transports: HashMap::new(),
         }
+    }
+
+    /// The flush queue this shard's sockets schedule with.
+    fn write_sched(&self) -> &WriteScheduler {
+        &self.proto.handles[self.proto.shard].write_sched
     }
 
     /// Runs the shard until shutdown. `sessions` and `wills` are what
@@ -115,7 +112,7 @@ impl Shard {
             self.proto.flush_hops();
             let now = Instant::now();
             // Flush every TCP connection a routing shard scheduled.
-            for conn in self.write_sched.take() {
+            for conn in self.write_sched().take() {
                 self.flush(conn, now);
             }
             // Fire due deadlines before parking.
@@ -127,14 +124,14 @@ impl Shard {
             // mailbox and write queue: an event or scheduled flush that
             // raced the arming would otherwise sleep until the deadline.
             self.wake_rx.arm();
-            if !rx.is_empty() || !self.write_sched.is_empty() {
+            if !rx.is_empty() || !self.write_sched().is_empty() {
                 continue;
             }
             events.clear();
             let timeout = self
                 .proto
                 .next_deadline()
-                .map(|d| d.saturating_duration_since(Instant::now()));
+                .map(|d| d.saturating_duration_since(now));
             if self.poller.wait(&mut events, timeout).is_err() {
                 continue;
             }
@@ -210,7 +207,8 @@ impl Shard {
     /// the poller refuses is dropped and uncounted.
     fn adopt(&mut self, conn: ConnId, transport: Transport) -> bool {
         if transport.register(&mut self.poller, conn).is_err() {
-            self.counters
+            self.proto
+                .counters
                 .connections_current
                 .fetch_sub(1, Ordering::Relaxed);
             return false;
@@ -286,8 +284,8 @@ impl Shard {
             self.drop_gated(conn);
             return;
         }
-        let owner = shard_of(&connect.client_id, self.handles.len());
-        if owner == self.shard {
+        let owner = shard_of(&connect.client_id, self.proto.handles.len());
+        if owner == self.proto.shard {
             // If registration itself closes the connection, the drain
             // loop above notices: the transport is gone.
             self.register(conn, sender, connect, rest, now);
@@ -301,8 +299,8 @@ impl Shard {
         // once the connection has left it. A nudge or scheduled flush that
         // beats the Migrate event to the owner is dropped there; the owner
         // catches up when the connection arrives.
-        transport.retarget(owner, &self.handles[owner].write_sched);
-        self.handles[owner].send(Event::Migrate {
+        transport.retarget(owner, &self.proto.handles[owner].write_sched);
+        self.proto.handles[owner].send(Event::Migrate {
             conn,
             transport,
             connect: Box::new(connect),
@@ -342,7 +340,8 @@ impl Shard {
     /// core never counted it, so the decrement happens here.
     fn drop_gated(&mut self, conn: ConnId) {
         if self.release(conn) {
-            self.counters
+            self.proto
+                .counters
                 .connections_current
                 .fetch_sub(1, Ordering::Relaxed);
         }
@@ -364,7 +363,7 @@ impl Shard {
         };
         transport.deregister(&mut self.poller);
         if transport.shut() {
-            BrokerCounters::bump(&self.counters.slow_consumer_evictions);
+            BrokerCounters::bump(&self.proto.counters.slow_consumer_evictions);
         }
         true
     }
@@ -376,9 +375,8 @@ impl Shard {
         let Some(Transport::Tcp(tcp)) = self.transports.get_mut(&conn) else {
             return;
         };
-        match tcp.flush(&mut self.poller, conn) {
-            Flushed::Ok => {}
-            Flushed::Evicted | Flushed::Dead => self.close(conn, now),
+        if !tcp.flush(&mut self.poller, conn) {
+            self.close(conn, now);
         }
     }
 }
