@@ -30,9 +30,9 @@ pub trait Clock: Send + Sync + std::fmt::Debug {
     }
 
     /// Registers a callback invoked whenever virtual time advances (a
-    /// no-op for wall clocks, which never "jump"). The coordinator's
-    /// housekeeping loop uses this to re-check deadlines immediately
-    /// after a test steps the clock.
+    /// no-op for wall clocks, which never "jump"). The coordinator's loop
+    /// registers one that queues a wake item, so it re-checks its
+    /// deadlines immediately after a test steps the clock.
     fn register_waker(&self, waker: Arc<dyn Fn() + Send + Sync>) {
         let _ = waker;
     }
@@ -118,12 +118,6 @@ impl Clock for TestClock {
     }
 }
 
-/// `now.saturating_duration_since(earlier)` under a given clock — the
-/// virtual-time-safe replacement for `earlier.elapsed()`.
-pub fn elapsed_since(clock: &dyn Clock, earlier: Instant) -> Duration {
-    clock.now().saturating_duration_since(earlier)
-}
-
 /// How long a blocking wait may sleep before re-checking a
 /// clock-measured `deadline`: `None` once the deadline has passed
 /// (time to give up), otherwise the full remaining time on a wall
@@ -180,14 +174,5 @@ mod tests {
         clock.advance(Duration::from_millis(1));
         clock.advance(Duration::from_millis(1));
         assert_eq!(fired.load(Ordering::SeqCst), 2);
-    }
-
-    #[test]
-    fn elapsed_since_saturates() {
-        let clock = TestClock::new();
-        let future = clock.now() + Duration::from_secs(5);
-        assert_eq!(elapsed_since(&*clock, future), Duration::ZERO);
-        clock.advance(Duration::from_secs(7));
-        assert_eq!(elapsed_since(&*clock, future), Duration::from_secs(2));
     }
 }

@@ -15,13 +15,11 @@
 //! the session continues as long as `capacity_min` survivors remain,
 //! instead of aborting on the first blown deadline.
 
-use crate::clock::{elapsed_since, wall_clock, Clock};
 use crate::clustering::{ClientInfo, ClusterPlan, Topology};
 use crate::error::{CoreError, Result};
 use crate::ids::{ClientId, ModelId, SessionId};
 use crate::wirecodec::WireVersion;
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Immutable session parameters fixed at creation.
@@ -110,31 +108,28 @@ pub struct FlSession {
     pub missed: HashMap<ClientId, u32>,
     /// When the session reached a terminal state (for garbage collection).
     pub finished_at: Option<Instant>,
-    /// Time source for every deadline this session tracks. Wall clock in
-    /// production; a [`crate::clock::TestClock`] in virtual-time tests.
-    clock: Arc<dyn Clock>,
 }
 
 impl FlSession {
-    /// Creates a session in `Waiting` on the wall clock.
-    pub fn new(config: SessionConfig) -> FlSession {
-        Self::with_clock(config, wall_clock())
-    }
-
-    /// Creates a session in `Waiting` with an explicit time source.
-    pub fn with_clock(config: SessionConfig, clock: Arc<dyn Clock>) -> FlSession {
+    /// Creates a session in `Waiting` at `now`. The session never reads a
+    /// clock: every time-dependent method takes the caller's `now`.
+    pub fn new(config: SessionConfig, now: Instant) -> FlSession {
         FlSession {
             config,
             clients: Vec::new(),
             state: SessionState::Waiting,
             plan: None,
-            created: clock.now(),
+            created: now,
             wire: HashMap::new(),
             codec_support: HashMap::new(),
             missed: HashMap::new(),
             finished_at: None,
-            clock,
         }
+    }
+
+    /// Ids of the current (surviving) contributors, in join order.
+    pub fn member_ids(&self) -> Vec<ClientId> {
+        self.clients.iter().map(|c| c.id.clone()).collect()
     }
 
     /// The wire version negotiated with `client` (v1 when unknown).
@@ -181,41 +176,42 @@ impl FlSession {
     }
 
     /// True when the session should start right now.
-    pub fn should_start(&self) -> bool {
+    pub fn should_start(&self, now: Instant) -> bool {
         self.state == SessionState::Waiting
             && (self.clients.len() >= self.config.capacity_max
-                || (elapsed_since(&*self.clock, self.created) >= self.config.waiting_time
+                || (now.saturating_duration_since(self.created) >= self.config.waiting_time
                     && self.clients.len() >= self.config.capacity_min))
     }
 
-    /// True when the waiting window closed under-subscribed.
-    pub fn should_abort_waiting(&self) -> bool {
-        self.state == SessionState::Waiting
-            && elapsed_since(&*self.clock, self.created) >= self.config.waiting_time
-            && self.clients.len() < self.config.capacity_min
-    }
-
-    /// Moves to `Running` round 1.
-    pub fn start(&mut self) {
-        debug_assert_eq!(self.state, SessionState::Waiting);
-        self.state = self.fresh_round(1);
-    }
-
-    fn fresh_round(&self, round: u32) -> SessionState {
-        SessionState::Running {
-            round,
-            done: HashSet::new(),
-            contributed: HashSet::new(),
-            penalized: HashSet::new(),
-            round_started: self.clock.now(),
-            quorum_met_at: None,
+    /// Why the session must abort on time alone, if it must: the waiting
+    /// window closed under-subscribed, or a running session blew its
+    /// total time budget.
+    pub fn expired(&self, now: Instant) -> Option<&'static str> {
+        let age = now.saturating_duration_since(self.created);
+        match self.state {
+            SessionState::Waiting
+                if age >= self.config.waiting_time
+                    && self.clients.len() < self.config.capacity_min =>
+            {
+                Some("not enough contributors")
+            }
+            SessionState::Running { .. } if age > self.config.session_time => {
+                Some("session time budget exceeded")
+            }
+            _ => None,
         }
     }
 
+    /// Moves to `Running` round 1.
+    pub fn start(&mut self, now: Instant) {
+        debug_assert_eq!(self.state, SessionState::Waiting);
+        self.state = fresh_round(1, now);
+    }
+
     /// Moves to `Aborted` and stamps the terminal instant.
-    pub fn abort(&mut self, reason: &str) {
+    pub fn abort(&mut self, reason: &str, now: Instant) {
         self.state = SessionState::Aborted(reason.to_owned());
-        self.finished_at = Some(self.clock.now());
+        self.finished_at = Some(now);
     }
 
     /// Number of done reports that constitutes a quorum for the current
@@ -227,14 +223,13 @@ impl FlSession {
     /// Records a client's round-completion report. Returns `true` when the
     /// report closes the round: all contributors done, or the quorum met
     /// with the grace period already elapsed.
-    pub fn record_done(&mut self, client: &ClientId, round: u32) -> Result<bool> {
+    pub fn record_done(&mut self, client: &ClientId, round: u32, now: Instant) -> Result<bool> {
         if !self.clients.iter().any(|c| &c.id == client) {
             return Err(CoreError::Refused("not a contributor".into()));
         }
         let total = self.clients.len();
         let quorum_count = self.quorum_count();
         let grace = self.config.grace;
-        let now = self.clock.now();
         match &mut self.state {
             SessionState::Running {
                 round: current,
@@ -280,8 +275,8 @@ impl FlSession {
     }
 
     /// True when the quorum is met, the grace has elapsed, and stragglers
-    /// are still outstanding — housekeeping should force-close the round.
-    pub fn quorum_ready(&self) -> bool {
+    /// are still outstanding — the timer should force-close the round.
+    pub fn quorum_ready(&self, now: Instant) -> bool {
         let SessionState::Running {
             done,
             quorum_met_at,
@@ -292,7 +287,7 @@ impl FlSession {
         };
         done.len() < self.clients.len()
             && done.len() >= self.quorum_count()
-            && quorum_met_at.is_some_and(|t| elapsed_since(&*self.clock, t) >= self.config.grace)
+            && quorum_met_at.is_some_and(|t| now.saturating_duration_since(t) >= self.config.grace)
     }
 
     /// Charges every unresponsive contributor (neither done nor
@@ -328,8 +323,7 @@ impl FlSession {
 
     /// Removes a contributor from the session (dropout eviction). The
     /// caller is responsible for re-planning and for notifying the client.
-    pub fn evict(&mut self, client: &ClientId) {
-        let now = self.clock.now();
+    pub fn evict(&mut self, client: &ClientId, now: Instant) {
         self.clients.retain(|c| &c.id != client);
         self.wire.remove(client);
         self.missed.remove(client);
@@ -386,8 +380,7 @@ impl FlSession {
 
     /// Restarts the round deadline clock (after a mid-round re-delegation
     /// gave the survivors fresh work).
-    pub fn reset_round_clock(&mut self) {
-        let now = self.clock.now();
+    pub fn reset_round_clock(&mut self, now: Instant) {
         if let SessionState::Running { round_started, .. } = &mut self.state {
             *round_started = now;
         }
@@ -395,27 +388,27 @@ impl FlSession {
 
     /// Advances to the next round (or `Completed` after the last).
     /// Returns the new round number, or `None` if the session completed.
-    pub fn advance_round(&mut self) -> Option<u32> {
+    pub fn advance_round(&mut self, now: Instant) -> Option<u32> {
         let SessionState::Running { round, .. } = &self.state else {
             return None;
         };
         let next = *round + 1;
         if next > self.config.fl_rounds {
             self.state = SessionState::Completed;
-            self.finished_at = Some(self.clock.now());
+            self.finished_at = Some(now);
             None
         } else {
-            self.state = self.fresh_round(next);
+            self.state = fresh_round(next, now);
             Some(next)
         }
     }
 
-    /// Wall (or virtual) time the current round has been open, `ZERO`
-    /// when not running.
-    pub fn round_elapsed(&self) -> Duration {
+    /// How long the current round has been open at `now`, `ZERO` when
+    /// not running.
+    pub fn round_elapsed(&self, now: Instant) -> Duration {
         match &self.state {
             SessionState::Running { round_started, .. } => {
-                elapsed_since(&*self.clock, *round_started)
+                now.saturating_duration_since(*round_started)
             }
             _ => Duration::ZERO,
         }
@@ -423,42 +416,25 @@ impl FlSession {
 
     /// True when the current round exceeded `round_deadline` (a data-plane
     /// stall: time to penalize and possibly evict stragglers).
-    pub fn round_overdue(&self, round_deadline: Duration) -> bool {
-        match &self.state {
-            SessionState::Running { round_started, .. } => {
-                elapsed_since(&*self.clock, *round_started) > round_deadline
-            }
-            _ => false,
-        }
-    }
-
-    /// True when the session blew its total time budget (aborts).
-    pub fn budget_blown(&self) -> bool {
+    pub fn round_overdue(&self, round_deadline: Duration, now: Instant) -> bool {
         matches!(self.state, SessionState::Running { .. })
-            && elapsed_since(&*self.clock, self.created) > self.config.session_time
-    }
-
-    /// True when the current round exceeded `round_deadline` or the session
-    /// blew its total time budget.
-    pub fn is_overdue(&self, round_deadline: Duration) -> bool {
-        self.round_overdue(round_deadline) || self.budget_blown()
+            && self.round_elapsed(now) > round_deadline
     }
 
     /// True when the session reached `Completed` or `Aborted` at least
     /// `linger` ago — safe to garbage-collect.
-    pub fn collectable(&self, linger: Duration) -> bool {
+    pub fn collectable(&self, linger: Duration, now: Instant) -> bool {
         matches!(
             self.state,
             SessionState::Completed | SessionState::Aborted(_)
         ) && self
             .finished_at
-            .is_some_and(|t| elapsed_since(&*self.clock, t) >= linger)
+            .is_some_and(|t| now.saturating_duration_since(t) >= linger)
     }
 
     /// The next instant at which a time-driven transition can fire for
-    /// this session, if any — the coordinator's housekeeping loop sleeps
-    /// until then (or until new work arrives) instead of polling on a
-    /// fixed tick.
+    /// this session, if any — the coordinator's loop parks until then (or
+    /// until new work arrives).
     pub fn next_deadline(&self, round_timeout: Duration, linger: Duration) -> Option<Instant> {
         match &self.state {
             SessionState::Waiting => Some(self.created + self.config.waiting_time),
@@ -499,6 +475,17 @@ impl FlSession {
     }
 }
 
+fn fresh_round(round: u32, now: Instant) -> SessionState {
+    SessionState::Running {
+        round,
+        done: HashSet::new(),
+        contributed: HashSet::new(),
+        penalized: HashSet::new(),
+        round_started: now,
+        quorum_met_at: None,
+    }
+}
+
 /// The single definition of the quorum formula:
 /// `ceil(quorum × total).clamp(1, total)`.
 fn quorum_count_for(total: usize, quorum: f64) -> usize {
@@ -509,7 +496,6 @@ fn quorum_count_for(total: usize, quorum: f64) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::TestClock;
     use crate::roles::PreferredRole;
     use sdflmq_sim::SystemStats;
 
@@ -551,28 +537,24 @@ mod tests {
         ClientId::new(s).unwrap()
     }
 
-    fn session_of(n: usize, cfg: SessionConfig) -> FlSession {
-        let mut s = FlSession::new(cfg);
-        for i in 0..n {
-            s.add_client(info(&format!("c{i}")), &mlp()).unwrap();
-        }
-        s
+    fn ms(n: u64) -> Duration {
+        Duration::from_millis(n)
     }
 
-    /// A session on a virtual clock: deadline tests *step* time instead of
-    /// sleeping through it — no wall-clock flake, no fixed sleeps.
-    fn clocked_session_of(n: usize, cfg: SessionConfig) -> (FlSession, Arc<TestClock>) {
-        let clock = TestClock::new();
-        let mut s = FlSession::with_clock(cfg, clock.clone());
+    /// A session of `n` contributors created at the returned instant.
+    /// Deadline tests pass later instants instead of sleeping.
+    fn session_of(n: usize, cfg: SessionConfig) -> (FlSession, Instant) {
+        let t0 = Instant::now();
+        let mut s = FlSession::new(cfg, t0);
         for i in 0..n {
             s.add_client(info(&format!("c{i}")), &mlp()).unwrap();
         }
-        (s, clock)
+        (s, t0)
     }
 
     #[test]
     fn join_rules() {
-        let mut s = FlSession::new(config(2, 3, 2));
+        let (mut s, _) = session_of(0, config(2, 3, 2));
         s.add_client(info("a"), &mlp()).unwrap();
         assert!(s.add_client(info("a"), &mlp()).is_err(), "dup join");
         assert!(
@@ -587,12 +569,12 @@ mod tests {
 
     #[test]
     fn starts_when_full() {
-        let mut s = FlSession::new(config(2, 2, 1));
+        let (mut s, t0) = session_of(0, config(2, 2, 1));
         s.add_client(info("a"), &mlp()).unwrap();
-        assert!(!s.should_start());
+        assert!(!s.should_start(t0));
         s.add_client(info("b"), &mlp()).unwrap();
-        assert!(s.should_start());
-        s.start();
+        assert!(s.should_start(t0));
+        s.start(t0);
         assert_eq!(s.current_round(), Some(1));
         assert!(
             s.add_client(info("c"), &mlp()).is_err(),
@@ -602,67 +584,65 @@ mod tests {
 
     #[test]
     fn starts_after_waiting_window_with_min() {
-        let (mut s, clock) = clocked_session_of(0, config(1, 5, 1));
+        let (mut s, t0) = session_of(0, config(1, 5, 1));
         s.add_client(info("a"), &mlp()).unwrap();
-        assert!(!s.should_start(), "window still open");
-        clock.advance(Duration::from_millis(50));
-        assert!(s.should_start());
+        assert!(!s.should_start(t0 + ms(49)), "window still open");
+        assert!(s.should_start(t0 + ms(50)));
     }
 
     #[test]
     fn aborts_when_undersubscribed() {
-        let (s, clock) = clocked_session_of(0, config(3, 5, 1));
-        assert!(!s.should_abort_waiting());
-        clock.advance(Duration::from_millis(50));
-        assert!(s.should_abort_waiting());
+        let (s, t0) = session_of(0, config(3, 5, 1));
+        assert_eq!(s.expired(t0 + ms(49)), None);
+        assert_eq!(s.expired(t0 + ms(50)), Some("not enough contributors"));
     }
 
     #[test]
     fn round_accounting() {
-        let mut s = session_of(2, config(2, 2, 2));
-        s.start();
-        assert!(!s.record_done(&cid("c0"), 1).unwrap());
-        assert!(s.record_done(&cid("x"), 1).is_err(), "stranger");
-        assert!(s.record_done(&cid("c1"), 2).is_err(), "wrong round");
-        assert!(s.record_done(&cid("c1"), 1).unwrap());
-        assert_eq!(s.advance_round(), Some(2));
+        let (mut s, t0) = session_of(2, config(2, 2, 2));
+        s.start(t0);
+        assert!(!s.record_done(&cid("c0"), 1, t0).unwrap());
+        assert!(s.record_done(&cid("x"), 1, t0).is_err(), "stranger");
+        assert!(s.record_done(&cid("c1"), 2, t0).is_err(), "wrong round");
+        assert!(s.record_done(&cid("c1"), 1, t0).unwrap());
+        assert_eq!(s.advance_round(t0), Some(2));
         // Final round closes the session.
-        s.record_done(&cid("c0"), 2).unwrap();
-        s.record_done(&cid("c1"), 2).unwrap();
-        assert_eq!(s.advance_round(), None);
+        s.record_done(&cid("c0"), 2, t0).unwrap();
+        s.record_done(&cid("c1"), 2, t0).unwrap();
+        assert_eq!(s.advance_round(t0), None);
         assert_eq!(s.state, SessionState::Completed);
         assert!(s.finished_at.is_some(), "terminal instant stamped");
     }
 
     #[test]
     fn duplicate_and_stale_round_done_reports() {
-        let mut s = session_of(3, config(3, 3, 2));
-        s.start();
-        assert!(!s.record_done(&cid("c0"), 1).unwrap());
+        let (mut s, t0) = session_of(3, config(3, 3, 2));
+        s.start(t0);
+        assert!(!s.record_done(&cid("c0"), 1, t0).unwrap());
         // A duplicate report neither closes the round nor double-counts.
-        assert!(!s.record_done(&cid("c0"), 1).unwrap());
-        assert!(!s.record_done(&cid("c1"), 1).unwrap());
-        assert!(s.record_done(&cid("c2"), 1).unwrap());
+        assert!(!s.record_done(&cid("c0"), 1, t0).unwrap());
+        assert!(!s.record_done(&cid("c1"), 1, t0).unwrap());
+        assert!(s.record_done(&cid("c2"), 1, t0).unwrap());
         // A duplicate of the closing report re-signals closure; the
         // coordinator's round-stamped advance makes the second a no-op.
-        assert!(s.record_done(&cid("c2"), 1).unwrap());
-        s.advance_round();
+        assert!(s.record_done(&cid("c2"), 1, t0).unwrap());
+        s.advance_round(t0);
         // A stale report for the closed round is rejected, not counted.
-        let err = s.record_done(&cid("c0"), 1).unwrap_err();
+        let err = s.record_done(&cid("c0"), 1, t0).unwrap_err();
         assert!(matches!(err, CoreError::Protocol(_)), "got {err:?}");
     }
 
     #[test]
     fn abort_then_advance_is_inert() {
-        let mut s = session_of(2, config(2, 2, 3));
-        s.start();
-        s.abort("deadline");
+        let (mut s, t0) = session_of(2, config(2, 2, 3));
+        s.start(t0);
+        s.abort("deadline", t0);
         assert!(s.finished_at.is_some());
         // A late advance on the aborted session must not resurrect it.
-        assert_eq!(s.advance_round(), None);
+        assert_eq!(s.advance_round(t0), None);
         assert_eq!(s.state, SessionState::Aborted("deadline".into()));
-        assert!(s.record_done(&cid("c0"), 1).is_err());
-        assert!(!s.quorum_ready());
+        assert!(s.record_done(&cid("c0"), 1, t0).is_err());
+        assert!(!s.quorum_ready(t0));
         assert!(s.penalize_stragglers().is_empty());
     }
 
@@ -671,22 +651,20 @@ mod tests {
         let mut cfg = config(2, 4, 2);
         cfg.quorum = 0.5;
         cfg.grace = Duration::from_millis(30);
-        let (mut s, clock) = clocked_session_of(4, cfg);
-        s.start();
+        let (mut s, t0) = session_of(4, cfg);
+        s.start(t0);
         assert_eq!(s.quorum_count(), 2);
-        assert!(!s.record_done(&cid("c0"), 1).unwrap());
+        assert!(!s.record_done(&cid("c0"), 1, t0).unwrap());
         // Quorum met, but grace has not elapsed: not closed yet.
-        assert!(!s.record_done(&cid("c1"), 1).unwrap());
-        assert!(!s.quorum_ready());
-        // Stepping to one tick short of the grace keeps the round open;
-        // the exact boundary closes it (elapsed >= grace).
-        clock.advance(Duration::from_millis(29));
-        assert!(!s.quorum_ready());
-        clock.advance(Duration::from_millis(1));
-        // Grace elapsed: housekeeping sees a force-closable round, and a
+        assert!(!s.record_done(&cid("c1"), 1, t0).unwrap());
+        assert!(!s.quorum_ready(t0));
+        // One millisecond short of the grace keeps the round open; the exact
+        // boundary closes it (elapsed >= grace).
+        assert!(!s.quorum_ready(t0 + ms(29)));
+        // Grace elapsed: the timer sees a force-closable round, and a
         // further (late but valid) report also reads as closing.
-        assert!(s.quorum_ready());
-        assert!(s.record_done(&cid("c2"), 1).unwrap());
+        assert!(s.quorum_ready(t0 + ms(30)));
+        assert!(s.record_done(&cid("c2"), 1, t0 + ms(30)).unwrap());
     }
 
     #[test]
@@ -694,27 +672,27 @@ mod tests {
         let mut cfg = config(2, 2, 1);
         cfg.quorum = 0.5;
         cfg.grace = Duration::from_secs(3600);
-        let mut s = session_of(2, cfg);
-        s.start();
-        assert!(!s.record_done(&cid("c0"), 1).unwrap());
+        let (mut s, t0) = session_of(2, cfg);
+        s.start(t0);
+        assert!(!s.record_done(&cid("c0"), 1, t0).unwrap());
         // Everyone reported: the round closes immediately, grace or not.
-        assert!(s.record_done(&cid("c1"), 1).unwrap());
+        assert!(s.record_done(&cid("c1"), 1, t0).unwrap());
     }
 
     #[test]
     fn straggler_penalties_accumulate_and_reset() {
-        let mut s = session_of(3, config(1, 3, 5));
-        s.start();
-        s.record_done(&cid("c0"), 1).unwrap();
+        let (mut s, t0) = session_of(3, config(1, 3, 5));
+        s.start(t0);
+        s.record_done(&cid("c0"), 1, t0).unwrap();
         s.record_contrib(&cid("c1"), 1);
         // c2 is unresponsive: first strike.
         assert!(s.penalize_stragglers().is_empty(), "one strike, N=2");
         // Same round: penalties are idempotent.
         assert!(s.penalize_stragglers().is_empty());
         assert_eq!(s.missed.get(&cid("c2")), Some(&1));
-        s.advance_round();
+        s.advance_round(t0);
         // Second unresponsive round: eviction candidate.
-        s.record_done(&cid("c0"), 2).unwrap();
+        s.record_done(&cid("c0"), 2, t0).unwrap();
         s.record_contrib(&cid("c1"), 2);
         assert_eq!(s.penalize_stragglers(), vec![cid("c2")]);
         // A late contribution clears the streak.
@@ -729,9 +707,9 @@ mod tests {
         // stalls the round forever, so strikes must accrue across blown
         // deadlines of the SAME round — otherwise eviction is unreachable
         // and the session can only die on its time budget.
-        let mut s = session_of(3, config(2, 3, 5));
-        s.start();
-        s.record_done(&cid("c0"), 1).unwrap();
+        let (mut s, t0) = session_of(3, config(2, 3, 5));
+        s.start(t0);
+        s.record_done(&cid("c0"), 1, t0).unwrap();
         s.record_contrib(&cid("c1"), 1);
         // Deadline window 1: first strike for c2.
         assert!(s.penalize_stragglers().is_empty(), "strike 1 of 2");
@@ -748,9 +726,9 @@ mod tests {
     fn contributed_shield_expires_with_the_strike_window() {
         // A client that pings contrib and then dies must not be shielded
         // forever: the shield only covers the current deadline window.
-        let mut s = session_of(2, config(1, 2, 5));
-        s.start();
-        s.record_done(&cid("c0"), 1).unwrap();
+        let (mut s, t0) = session_of(2, config(1, 2, 5));
+        s.start(t0);
+        s.record_done(&cid("c0"), 1, t0).unwrap();
         s.record_contrib(&cid("c1"), 1); // ...then c1 dies.
         assert!(s.penalize_stragglers().is_empty(), "shielded this window");
         s.begin_strike_window();
@@ -763,13 +741,13 @@ mod tests {
     fn eviction_shrinks_membership_and_requorums() {
         let mut cfg = config(2, 4, 3);
         cfg.quorum = 1.0;
-        let mut s = session_of(4, cfg);
-        s.start();
-        s.record_done(&cid("c0"), 1).unwrap();
-        s.record_done(&cid("c1"), 1).unwrap();
-        s.record_done(&cid("c2"), 1).unwrap();
+        let (mut s, t0) = session_of(4, cfg);
+        s.start(t0);
+        s.record_done(&cid("c0"), 1, t0).unwrap();
+        s.record_done(&cid("c1"), 1, t0).unwrap();
+        s.record_done(&cid("c2"), 1, t0).unwrap();
         assert!(!s.all_done());
-        s.evict(&cid("c3"));
+        s.evict(&cid("c3"), t0);
         assert_eq!(s.clients.len(), 3);
         assert!(s.all_done(), "evicting the holdout closes the round");
         assert!(!s.wire.contains_key(&cid("c3")));
@@ -781,18 +759,18 @@ mod tests {
         cfg.quorum = 0.75;
         cfg.grace = Duration::ZERO;
         cfg.max_missed_rounds = 1;
-        let mut s = session_of(4, cfg);
-        s.start();
-        s.record_done(&cid("c0"), 1).unwrap();
-        s.record_done(&cid("c1"), 1).unwrap();
+        let (mut s, t0) = session_of(4, cfg);
+        s.start(t0);
+        s.record_done(&cid("c0"), 1, t0).unwrap();
+        s.record_done(&cid("c1"), 1, t0).unwrap();
         // 3 of 4 = exactly the quorum; closure reads true with zero grace.
-        assert!(s.record_done(&cid("c2"), 1).unwrap());
+        assert!(s.record_done(&cid("c2"), 1, t0).unwrap());
         // The straggler is an eviction candidate; evicting it leaves
         // exactly capacity_min survivors, so the session must continue.
         assert_eq!(s.penalize_stragglers(), vec![cid("c3")]);
-        s.evict(&cid("c3"));
+        s.evict(&cid("c3"), t0);
         assert_eq!(s.clients.len(), s.config.capacity_min);
-        assert_eq!(s.advance_round(), Some(2));
+        assert_eq!(s.advance_round(t0), Some(2));
         assert_eq!(s.quorum_count(), 3, "quorum tracks the shrunk fleet");
     }
 
@@ -800,31 +778,25 @@ mod tests {
     fn overdue_detection() {
         let mut cfg = config(1, 1, 1);
         cfg.session_time = Duration::from_millis(10);
-        let (mut s, clock) = clocked_session_of(0, cfg);
-        s.add_client(info("a"), &mlp()).unwrap();
-        s.start();
-        assert!(!s.is_overdue(Duration::from_secs(100)), "nothing elapsed");
-        clock.advance(Duration::from_millis(15));
-        assert!(s.budget_blown(), "session budget blown");
-        assert!(
-            s.is_overdue(Duration::from_secs(100)),
-            "session budget blown"
-        );
-        assert!(s.round_overdue(Duration::from_millis(1)), "round deadline");
-        assert!(
-            s.is_overdue(Duration::from_millis(1)),
-            "round deadline blown"
-        );
+        let (mut s, t0) = session_of(1, cfg);
+        s.start(t0);
+        assert_eq!(s.expired(t0), None, "nothing elapsed");
+        assert!(!s.round_overdue(ms(1), t0), "nothing elapsed");
+        // Both limits are strict: the boundary instant itself is in time.
+        assert_eq!(s.expired(t0 + ms(10)), None);
+        assert!(!s.round_overdue(ms(1), t0 + ms(1)));
+        assert_eq!(s.expired(t0 + ms(15)), Some("session time budget exceeded"));
+        assert!(s.round_overdue(ms(1), t0 + ms(15)), "round deadline");
     }
 
     #[test]
     fn reset_round_clock_defers_the_deadline() {
-        let (mut s, clock) = clocked_session_of(1, config(1, 1, 1));
-        s.start();
-        clock.advance(Duration::from_millis(10));
-        assert!(s.round_overdue(Duration::from_millis(5)));
-        s.reset_round_clock();
-        assert!(!s.round_overdue(Duration::from_millis(5)));
+        let (mut s, t0) = session_of(1, config(1, 1, 1));
+        s.start(t0);
+        let later = t0 + ms(10);
+        assert!(s.round_overdue(ms(5), later));
+        s.reset_round_clock(later);
+        assert!(!s.round_overdue(ms(5), later));
     }
 
     #[test]
@@ -832,38 +804,35 @@ mod tests {
         let mut cfg = config(2, 2, 2);
         cfg.grace = Duration::from_millis(100);
         cfg.quorum = 0.5;
-        let (mut s, clock) = clocked_session_of(2, cfg);
+        let (mut s, t0) = session_of(2, cfg);
         let timeout = Duration::from_secs(5);
         let linger = Duration::from_secs(60);
         // Waiting: the waiting-window close is the next deadline.
         assert_eq!(
             s.next_deadline(timeout, linger),
-            Some(clock.now() + Duration::from_millis(50))
+            Some(t0 + Duration::from_millis(50))
         );
-        s.start();
+        s.start(t0);
         // Running, no quorum yet: the round deadline governs.
-        assert_eq!(
-            s.next_deadline(timeout, linger),
-            Some(clock.now() + timeout)
-        );
+        assert_eq!(s.next_deadline(timeout, linger), Some(t0 + timeout));
         // Quorum met: the (sooner) grace expiry takes over.
-        s.record_done(&cid("c0"), 1).unwrap();
+        s.record_done(&cid("c0"), 1, t0).unwrap();
         assert_eq!(
             s.next_deadline(timeout, linger),
-            Some(clock.now() + Duration::from_millis(100))
+            Some(t0 + Duration::from_millis(100))
         );
         // Terminal: the GC linger is all that remains.
-        s.abort("test");
-        assert_eq!(s.next_deadline(timeout, linger), Some(clock.now() + linger));
+        s.abort("test", t0);
+        assert_eq!(s.next_deadline(timeout, linger), Some(t0 + linger));
     }
 
     #[test]
     fn terminal_sessions_become_collectable() {
-        let mut s = session_of(1, config(1, 1, 1));
-        s.start();
-        assert!(!s.collectable(Duration::ZERO), "running is never GC'd");
-        s.abort("test");
-        assert!(!s.collectable(Duration::from_secs(3600)), "linger holds");
-        assert!(s.collectable(Duration::ZERO));
+        let (mut s, t0) = session_of(1, config(1, 1, 1));
+        s.start(t0);
+        assert!(!s.collectable(Duration::ZERO, t0), "running is never GC'd");
+        s.abort("test", t0);
+        assert!(!s.collectable(ms(5), t0 + ms(4)), "linger holds");
+        assert!(s.collectable(ms(5), t0 + ms(5)));
     }
 }
