@@ -49,16 +49,11 @@ pub struct BlobChannel {
 impl BlobChannel {
     /// Wraps an MQTT client. `node_id` seeds transfer-id uniqueness.
     pub fn new(client: Client, node_id: &str, batch: BatchConfig, qos: QoS) -> BlobChannel {
-        let mut base = 0xcbf2_9ce4_8422_2325u64;
-        for b in node_id.as_bytes() {
-            base ^= *b as u64;
-            base = base.wrapping_mul(0x1000_0000_01b3);
-        }
         BlobChannel {
             client,
             batch,
             qos,
-            transfer_base: base,
+            transfer_base: sdflmq_mqtt::fnv1a64(node_id.as_bytes()),
             next_transfer: Arc::new(AtomicU64::new(1)),
             dropped: Arc::new(AtomicU64::new(0)),
             copied: Arc::new(AtomicU64::new(0)),

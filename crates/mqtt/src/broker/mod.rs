@@ -22,7 +22,8 @@
 //!
 //! * QoS 0 to a live subscriber: the frame is encoded **once** per
 //!   outgoing (QoS, retain) variant and the same `Bytes` is pushed
-//!   straight into every subscriber's [`FrameSender`], regardless of which
+//!   straight into every subscriber's
+//!   [`FrameSender`](crate::transport::FrameSender), regardless of which
 //!   shard owns the subscriber;
 //! * QoS 1/2, or any delivery to an offline session: the message hops to
 //!   the owner shard's mailbox (the owner must allocate the packet id
@@ -57,16 +58,15 @@
 //!
 //! # Module map
 //!
-//! * `proto` / `packets` / `route` — [`ShardProto`](proto::ShardProto),
-//!   the protocol core: sessions, QoS windows, wills, keep-alive
-//!   deadlines, fault timers, routing and the WAL hook. It does no I/O and
+//! * `proto` / `packets` / `route` — `ShardProto`, the protocol core:
+//!   sessions, QoS windows, wills, keep-alive deadlines, fault timers, routing and the WAL hook. It does no I/O and
 //!   never reads the clock — every entry point is handed `now` — and
-//!   reaches the outside only through [`FrameSender`]s, shard mailboxes
+//!   reaches the outside only through `FrameSender`s, shard mailboxes
 //!   and the [`PersistStore`].
 //! * `shard` — the reactor glue: poller, wake pipe, mailbox loop, the one
 //!   CONNECT gate and the timer park. It owns every transport and is the
 //!   only caller of `Instant::now()`.
-//! * `conn` — [`Transport`](conn::Transport): the broker-side half of one
+//! * `conn` — `Transport`: the broker-side half of one
 //!   connection, an in-process link or a nonblocking TCP socket.
 
 mod conn;
@@ -147,12 +147,7 @@ pub(crate) fn shard_of(client_id: &str, shards: usize) -> usize {
     if shards <= 1 {
         return 0;
     }
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in client_id.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0100_0000_01b3);
-    }
-    (h % shards as u64) as usize
+    (crate::fnv1a64(client_id.as_bytes()) % shards as u64) as usize
 }
 
 /// A routed message on its way to one subscriber. Crosses shard mailboxes

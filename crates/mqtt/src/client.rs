@@ -537,15 +537,13 @@ impl Client {
     pub fn subscribe(&self, filter: &TopicFilter, qos: QoS) -> Result<QoS> {
         self.ensure_connected()?;
         let id = self.inner.alloc_id();
-        let (tx, rx) = bounded(2);
-        self.inner.pending_sub.lock().insert(id, Pending { tx });
-        self.inner.send(&Packet::Subscribe(Subscribe {
-            packet_id: id,
-            filters: vec![(filter.clone(), qos)],
-        }))?;
-        let ack = rx
-            .recv_timeout(self.inner.response_timeout)
-            .map_err(|_| MqttError::Timeout)?;
+        let ack = self.await_sub_ack(
+            id,
+            &Packet::Subscribe(Subscribe {
+                packet_id: id,
+                filters: vec![(filter.clone(), qos)],
+            }),
+        )?;
         match ack {
             Packet::Suback(s) => match s.return_codes.first() {
                 Some(SubackCode::Granted(granted)) => {
@@ -570,8 +568,12 @@ impl Client {
     ) -> Result<QoS> {
         // Register the handler before the wire subscribe so retained
         // replays are not lost to the default inbox.
-        self.inner.handlers.write().push((filter.clone(), handler));
-        self.subscribe(filter, qos)
+        let registered = (filter.clone(), Arc::clone(&handler));
+        self.inner.handlers.write().push(registered);
+        self.subscribe(filter, qos).inspect_err(|_| {
+            let mut handlers = self.inner.handlers.write();
+            handlers.retain(|(_, h)| !Arc::ptr_eq(h, &handler));
+        })
     }
 
     /// Subscribes with a string filter.
@@ -586,14 +588,13 @@ impl Client {
         self.inner.handlers.write().retain(|(f, _)| f != filter);
         self.inner.subs.lock().remove(filter);
         let id = self.inner.alloc_id();
-        let (tx, rx) = bounded(2);
-        self.inner.pending_sub.lock().insert(id, Pending { tx });
-        self.inner.send(&Packet::Unsubscribe(Unsubscribe {
-            packet_id: id,
-            filters: vec![filter.clone()],
-        }))?;
-        rx.recv_timeout(self.inner.response_timeout)
-            .map_err(|_| MqttError::Timeout)?;
+        self.await_sub_ack(
+            id,
+            &Packet::Unsubscribe(Unsubscribe {
+                packet_id: id,
+                filters: vec![filter.clone()],
+            }),
+        )?;
         Ok(())
     }
 
@@ -623,6 +624,22 @@ impl Client {
         } else {
             Err(MqttError::NotConnected)
         }
+    }
+
+    /// Sends a SUBSCRIBE or UNSUBSCRIBE and waits for its acknowledgement.
+    /// The waiter is taken back on every failure, so a broker that never
+    /// answers costs nothing per attempt.
+    fn await_sub_ack(&self, id: PacketId, request: &Packet) -> Result<Packet> {
+        let (tx, rx) = bounded(2);
+        self.inner.pending_sub.lock().insert(id, Pending { tx });
+        let ack = self.inner.send(request).and_then(|()| {
+            rx.recv_timeout(self.inner.response_timeout)
+                .map_err(|_| MqttError::Timeout)
+        });
+        if ack.is_err() {
+            self.inner.pending_sub.lock().remove(&id);
+        }
+        ack
     }
 
     fn register_pub_waiter(&self, id: PacketId) -> Receiver<Packet> {
@@ -655,6 +672,41 @@ mod tests {
     }
     fn filter(s: &str) -> TopicFilter {
         TopicFilter::new(s).unwrap()
+    }
+
+    #[test]
+    fn a_silent_broker_leaves_no_waiter_or_handler_behind() {
+        // A bare link whose far end accepts the connection and then never
+        // answers again.
+        let (near, far) = crate::transport::link();
+        far.send_packet(&Packet::Connack(crate::packet::Connack {
+            session_present: false,
+            code: ConnectReturnCode::Accepted,
+        }))
+        .unwrap();
+        let options = ClientOptions {
+            response_timeout: Duration::from_millis(20),
+            ..ClientOptions::new("patient")
+        };
+        let client = Client::connect_link(near, options).unwrap();
+        let calls = Arc::new(AtomicUsize::new(0));
+        for _ in 0..3 {
+            let handler_calls = Arc::clone(&calls);
+            let handler: MessageHandler = Arc::new(move |_| {
+                handler_calls.fetch_add(1, Ordering::SeqCst);
+            });
+            let subscribed = client.subscribe_with(&filter("a/#"), QoS::AtLeastOnce, handler);
+            assert_eq!(subscribed, Err(MqttError::Timeout));
+            assert_eq!(client.inner.handlers.read().len(), 0, "handler rolled back");
+            assert_eq!(client.unsubscribe(&filter("a/#")), Err(MqttError::Timeout));
+        }
+        assert_eq!(
+            client.inner.pending_sub.lock().len(),
+            0,
+            "waiters taken back"
+        );
+        assert_eq!(calls.load(Ordering::SeqCst), 0);
+        drop(far);
     }
 
     #[test]

@@ -42,6 +42,7 @@ pub mod codec;
 mod crc32;
 pub mod error;
 pub mod fault;
+mod fnv;
 pub mod index;
 pub mod packet;
 pub mod persist;
@@ -59,6 +60,7 @@ pub use client::{Client, ClientOptions, Dialer, MessageHandler};
 pub use crc32::crc32;
 pub use error::{ConnectReturnCode, MqttError, Result};
 pub use fault::{FaultAction, FaultHandle, FaultPlan, FaultRule};
+pub use fnv::fnv1a64;
 pub use packet::{LastWill, Packet, Publish, QoS};
 pub use persist::{Durability, Persistence, WalOverflow};
 pub use stats::BrokerStatsSnapshot;

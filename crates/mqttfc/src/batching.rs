@@ -15,7 +15,7 @@
 use crate::compress::{compress_auto, decompress_auto, MODE_RAW};
 use crate::wire::{crc32, Chunk, WireError};
 use bytes::Bytes;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::time::{Duration, Instant};
 
 /// Batching configuration.
@@ -93,12 +93,27 @@ pub enum PushResult {
     Duplicate,
 }
 
+/// One transfer in flight. Chunks are kept by sequence number in an
+/// ordered map, so memory follows the bytes actually received and never
+/// the `total` a (CRC-valid but possibly hostile) first chunk declares.
 struct Partial {
-    chunks: Vec<Option<Bytes>>,
-    received: u32,
+    chunks: BTreeMap<u32, Bytes>,
+    total: u32,
     payload_crc: u32,
     started: Instant,
     bytes: usize,
+}
+
+impl Partial {
+    fn new(chunk: &Chunk) -> Partial {
+        Partial {
+            chunks: BTreeMap::new(),
+            total: chunk.total,
+            payload_crc: chunk.payload_crc,
+            started: Instant::now(),
+            bytes: 0,
+        }
+    }
 }
 
 /// Reassembles chunked transfers keyed by (sender, transfer id).
@@ -139,43 +154,31 @@ impl Reassembler {
     pub fn push(&mut self, sender: &str, frame: Bytes) -> Result<PushResult, WireError> {
         let chunk = Chunk::decode(frame)?;
         let key = (sender.to_owned(), chunk.transfer_id);
-        let partial = self.partials.entry(key.clone()).or_insert_with(|| Partial {
-            chunks: vec![None; chunk.total as usize],
-            received: 0,
-            payload_crc: chunk.payload_crc,
-            started: Instant::now(),
-            bytes: 0,
-        });
-        if partial.chunks.len() != chunk.total as usize || partial.payload_crc != chunk.payload_crc
-        {
+        let partial = self
+            .partials
+            .entry(key.clone())
+            .or_insert_with(|| Partial::new(&chunk));
+        if partial.total != chunk.total || partial.payload_crc != chunk.payload_crc {
             // A new transfer reused the id with different shape: restart.
-            *partial = Partial {
-                chunks: vec![None; chunk.total as usize],
-                received: 0,
-                payload_crc: chunk.payload_crc,
-                started: Instant::now(),
-                bytes: 0,
-            };
+            *partial = Partial::new(&chunk);
         }
-        let slot = &mut partial.chunks[chunk.seq as usize];
-        if slot.is_some() {
+        if partial.chunks.contains_key(&chunk.seq) {
             return Ok(PushResult::Duplicate);
         }
         partial.bytes += chunk.data.len();
-        *slot = Some(chunk.data);
-        partial.received += 1;
+        partial.chunks.insert(chunk.seq, chunk.data);
+        let received = partial.chunks.len() as u32;
 
-        if partial.received as usize == partial.chunks.len() {
-            let partial = self.partials.remove(&key).expect("just inserted");
+        if received == partial.total {
+            let mut partial = self.partials.remove(&key).expect("just inserted");
             // A single-chunk transfer's body *is* its one chunk — already
             // a slice of the received frame, so no concatenation copy.
-            let body: Bytes = if partial.chunks.len() == 1 {
-                let mut chunks = partial.chunks;
-                chunks.pop().flatten().expect("all received")
+            let body: Bytes = if partial.total == 1 {
+                partial.chunks.remove(&0).expect("all received")
             } else {
                 let mut v = Vec::with_capacity(partial.bytes);
-                for piece in partial.chunks.into_iter() {
-                    v.extend_from_slice(&piece.expect("all received"));
+                for piece in partial.chunks.values() {
+                    v.extend_from_slice(piece);
                 }
                 self.copied += v.len() as u64;
                 Bytes::from(v)
@@ -200,8 +203,8 @@ impl Reassembler {
             }
         } else {
             Ok(PushResult::Incomplete {
-                received: partial.received,
-                total: partial.chunks.len() as u32,
+                received,
+                total: partial.total,
             })
         }
     }
@@ -298,6 +301,30 @@ mod tests {
             let _ = r.push("x", f.clone()).unwrap();
         }
         assert_eq!(r.pending(), 0);
+    }
+
+    #[test]
+    fn a_declared_total_is_not_an_allocation_size() {
+        // One 33-byte, CRC-valid chunk claiming to be the first of
+        // u32::MAX: it must cost its own five bytes, not a slot per
+        // promised chunk (which used to ask for more than 100 GB).
+        let lone = Chunk {
+            transfer_id: 7,
+            seq: 0,
+            total: u32::MAX,
+            payload_crc: 0,
+            data: Bytes::from_static(b"hello"),
+        };
+        let mut r = Reassembler::new(config(1000, false));
+        assert_eq!(
+            r.push("mallory", lone.encode()).unwrap(),
+            PushResult::Incomplete {
+                received: 1,
+                total: u32::MAX
+            }
+        );
+        assert_eq!(r.buffered_bytes(), 5);
+        assert_eq!(r.pending(), 1);
     }
 
     #[test]

@@ -21,7 +21,7 @@ use crate::wire::{RfcKind, RfcMessage};
 use bytes::Bytes;
 use crossbeam::channel::{bounded, Sender};
 use parking_lot::{Mutex, RwLock};
-use sdflmq_mqtt::{Client, Publish, QoS, TopicFilter, TopicName};
+use sdflmq_mqtt::{fnv1a64, Client, Publish, QoS, TopicFilter, TopicName};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -61,15 +61,6 @@ pub fn function_topic(function: &str) -> TopicName {
 /// Returns a node's response inbox topic.
 pub fn inbox_topic(node_id: &str) -> TopicName {
     TopicName::new(format!("mqttfc/inbox/{node_id}")).expect("node ids are topic-safe")
-}
-
-fn fnv64(s: &str) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for b in s.as_bytes() {
-        hash ^= *b as u64;
-        hash = hash.wrapping_mul(0x1000_0000_01b3);
-    }
-    hash
 }
 
 struct Shared {
@@ -142,7 +133,7 @@ impl FleetController {
         let shared = Arc::new(Shared {
             client: client.clone(),
             node_id: node_id.clone(),
-            transfer_base: fnv64(&node_id),
+            transfer_base: fnv1a64(node_id.as_bytes()),
             config: config.clone(),
             next_call: AtomicU64::new(1),
             next_transfer: AtomicU64::new(1),
@@ -201,7 +192,7 @@ impl FleetController {
         let topic = function_topic(function);
         let shared = Arc::downgrade(&self.shared);
         let fn_name = function.to_owned();
-        self.shared.client.subscribe_with(
+        let subscribed = self.shared.client.subscribe_with(
             &TopicFilter::new(topic.as_str()).expect("fn topic is a valid filter"),
             self.shared.config.qos,
             Arc::new(move |publish| {
@@ -242,7 +233,11 @@ impl FleetController {
                     let _ = shared.send_envelope(&topic, &reply);
                 }
             }),
-        )?;
+        );
+        // Not exposed after all? Then a retry must not find the name taken.
+        subscribed.inspect_err(|_| {
+            self.shared.handlers.write().remove(function);
+        })?;
         Ok(())
     }
 
@@ -319,7 +314,8 @@ impl FleetController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sdflmq_mqtt::{Broker, ClientOptions};
+    use sdflmq_mqtt::packet::{Connack, Suback, SubackCode};
+    use sdflmq_mqtt::{Broker, ClientOptions, ConnectReturnCode, Packet};
 
     fn controller(broker: &Broker, id: &str) -> FleetController {
         let client = Client::connect(broker, ClientOptions::new(id)).unwrap();
@@ -427,6 +423,32 @@ mod tests {
         }
         for h in handles {
             h.join().unwrap();
+        }
+    }
+
+    #[test]
+    fn a_failed_expose_can_be_retried() {
+        // A bare link whose far end accepts the connection, grants the
+        // inbox subscription, and then never answers again.
+        let (near, far) = sdflmq_mqtt::transport::link();
+        let answer = |packet| far.send_packet(&packet).unwrap();
+        answer(Packet::Connack(Connack {
+            session_present: false,
+            code: ConnectReturnCode::Accepted,
+        }));
+        answer(Packet::Suback(Suback {
+            packet_id: 1,
+            return_codes: vec![SubackCode::Granted(QoS::AtLeastOnce)],
+        }));
+        let options = ClientOptions {
+            response_timeout: Duration::from_millis(20),
+            ..ClientOptions::new("n")
+        };
+        let client = Client::connect_link(near, options).unwrap();
+        let ctl = FleetController::new(client, "n", RfcConfig::default()).unwrap();
+        for _ in 0..2 {
+            let err = ctl.expose("f", Arc::new(|_| Ok(Bytes::new()))).unwrap_err();
+            assert_eq!(err, RfcError::Mqtt(sdflmq_mqtt::MqttError::Timeout));
         }
     }
 

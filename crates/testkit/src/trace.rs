@@ -92,8 +92,11 @@ impl ScenarioTrace {
         out
     }
 
-    /// FNV-1a 64 over [`ScenarioTrace::canonical`]. Two same-seed runs of
-    /// a correct scenario produce the same value.
+    /// An FNV-1a-shaped 64-bit hash over [`ScenarioTrace::canonical`].
+    /// Two same-seed runs of a correct scenario produce the same value.
+    /// Deliberately not `sdflmq_mqtt::fnv1a64`: the multiplier below is
+    /// `0x1000_0000_01b3`, one digit off the FNV prime `0x100_0000_01b3`,
+    /// and every golden hash in `tests/chaos.rs` is pinned to it.
     pub fn hash(&self) -> u64 {
         let mut hash = 0xcbf2_9ce4_8422_2325u64;
         for b in self.canonical().as_bytes() {
