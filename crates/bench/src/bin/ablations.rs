@@ -1,4 +1,7 @@
-//! Ablation benches for the design choices DESIGN.md calls out.
+//! Ablation benches for the design choices the paper leaves open (§III.E:
+//! aggregator ratio, load-balancer policy) and the ones this
+//! implementation added (`docs/ARCHITECTURE.md`: payload batching,
+//! bridging; robust aggregation).
 //!
 //! Subcommands (run all with no argument):
 //!

@@ -3,8 +3,9 @@
 //! aggregators) against central aggregation.
 //!
 //! The paper measured wall-clock delay on a real testbed; this harness
-//! reproduces the experiment in deterministic virtual time (DESIGN.md
-//! substitution 3) with the same mechanism under test: a single aggregator
+//! reproduces the experiment in deterministic virtual time (the
+//! `core::simrun` row of "Why there are still two" in
+//! `docs/ARCHITECTURE.md`) with the same mechanism under test: a single aggregator
 //! must serialize the ingest of N parameter uploads on its access link and
 //! hold an N-deep parameter stack in memory, while hierarchical
 //! aggregation spreads both across cluster heads.

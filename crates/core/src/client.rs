@@ -57,7 +57,8 @@ pub struct SdflmqClientConfig {
     pub preferred_role: PreferredRole,
     /// Aggregation rule used when this client holds an aggregator position.
     pub aggregation: Box<dyn AggregationMethod>,
-    /// Simulated machine profile (the psutil stand-in; see DESIGN.md).
+    /// Simulated machine profile (the psutil stand-in; see
+    /// `sdflmq_sim::system`).
     pub system: SystemSpec,
     /// Seed for the system model's load drift.
     pub system_seed: u64,

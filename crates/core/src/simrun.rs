@@ -5,9 +5,10 @@
 //! time comes from the `sdflmq-sim` models instead of wall clocks —
 //! training time from the per-client CPU model, transfer time from
 //! FIFO-contended access links, aggregation time from the memory-pressure
-//! model. See DESIGN.md substitution 3 for why this preserves the paper's
-//! mechanism (a central aggregator serializes N ingest transfers and pays
-//! memory pressure; hierarchical aggregation parallelizes both).
+//! model. That preserves the paper's mechanism (a central aggregator
+//! serializes N ingest transfers and pays memory pressure; hierarchical
+//! aggregation parallelizes both); the `core::simrun` row of "Why there are
+//! still two" in `docs/ARCHITECTURE.md` says what modelled time is for.
 
 use crate::clustering::{build_plan, diff_plans, ClientInfo, ClusterPlan, Topology};
 use crate::ids::ClientId;

@@ -14,7 +14,7 @@
 //!   order. No field names, no string formatting or parsing on the hot
 //!   control path.
 //!
-//! One *declarative field schema* per message — a [`wire_schema!`]
+//! One *declarative field schema* per message — a `wire_schema!`
 //! invocation listing `(field, kind, wire name)` triples — drives both
 //! codecs plus range-validated parsing: numeric fields reject negative,
 //! fractional, and out-of-range JSON numbers instead of silently

@@ -2,9 +2,9 @@
 //!
 //! Each digit class 0-9 is described as a set of stroke segments in the
 //! unit square, seven-segment style with a few diagonals for more natural
-//! shapes. The renderer ([`crate::render`]) applies random affine jitter and
-//! rasterizes them to 28×28 images — the repo's stand-in for MNIST (see
-//! DESIGN.md §4 for why the substitution preserves the experiments).
+//! shapes. The renderer ([`mod@crate::render`]) applies random affine jitter and
+//! rasterizes them to 28×28 images — the repo's stand-in for MNIST (the crate
+//! docs say why the substitution preserves the experiments).
 
 /// A line segment in unit coordinates (`0.0..=1.0` on both axes).
 #[derive(Debug, Clone, Copy, PartialEq)]

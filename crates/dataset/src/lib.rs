@@ -1,7 +1,7 @@
 //! # sdflmq-dataset — synthetic digit data and federated partitioning
 //!
-//! The paper evaluates on MNIST; this crate is the documented substitution
-//! (DESIGN.md §4): procedurally rendered 28×28 digit glyphs with affine
+//! The paper evaluates on MNIST; this crate is the substitution:
+//! procedurally rendered 28×28 digit glyphs with affine
 //! jitter and pixel noise, generated deterministically from `(seed, split,
 //! index)`. The task keeps the properties the experiments rely on — ten
 //! balanced classes, learnable by a small MLP to ≈90% accuracy, monotone

@@ -1,7 +1,7 @@
 //! MQTT 3.1.1 control packet model.
 //!
 //! The embedded broker speaks real MQTT framing over its in-process links:
-//! every packet crossing a [`crate::transport::Link`] is encoded to bytes by
+//! every packet crossing a [`crate::transport::LinkEnd`] is encoded to bytes by
 //! [`crate::codec`] and decoded on the other side, so the wire format is
 //! exercised on every message in every test.
 

@@ -16,7 +16,7 @@
 //! pop order deterministic.
 //!
 //! [`FrameSender`] abstracts over the two broker-side send paths: an
-//! in-process channel half, or a [`TcpOutbound`] write queue flushed by
+//! in-process channel half, or a `TcpOutbound` write queue flushed by
 //! the owner shard's reactor with vectored writes (see
 //! [`crate::reactor`]). Routing code treats both identically.
 

@@ -41,7 +41,7 @@
 //!   strict total order as the serial sort, so the selected *set* — and
 //!   therefore the index-sorted payload — is the same.
 //!
-//! The serial implementations survive verbatim in [`reference`] as the
+//! The serial implementations survive verbatim in [`mod@reference`] as the
 //! differential-test oracle. Chaos traces hash bit-exact global models, so
 //! this equivalence is load-bearing: `data_plane_threads` must never
 //! change a simulation outcome.

@@ -12,8 +12,8 @@
 //!
 //! The threaded MQTT stack (`sdflmq-mqtt`) is used by the functional tests
 //! and examples; this crate is used where experiments need *controlled,
-//! reproducible* timing instead of wall-clock noise (DESIGN.md §1,
-//! substitution 3).
+//! reproducible* timing instead of wall-clock noise (see the `core::simrun`
+//! row of "Why there are still two" in `docs/ARCHITECTURE.md`).
 
 #![warn(missing_docs)]
 
