@@ -117,7 +117,13 @@ pub struct DataPlaneStats {
     pub undecodable_updates: u64,
     /// Microseconds spent encoding outgoing updates and aggregates.
     pub encode_us: u64,
-    /// Microseconds spent decoding inbound contributions and globals.
+    /// Microseconds spent decoding inbound contributions and globals to
+    /// `f32`s: the wall time of each payload decode on the thread that
+    /// received it, from the codec header check to the filled vector.
+    /// That includes waiting for the model-controller lock (delta codecs
+    /// only) and, for fp16/int8/top-k, handing chunks to the worker pool
+    /// and waiting for them; dense payloads are one copy on the calling
+    /// thread. Reassembly, blob framing and folding are not in it.
     pub decode_us: u64,
     /// Microseconds spent folding contributions into aggregation stacks
     /// (including the final `finish` of each flush).
@@ -598,8 +604,8 @@ impl SdflmqClient {
 
     /// Decodes an inbound payload into `out`, taking the model-controller
     /// lock only when the codec actually needs the stored delta base.
-    /// Chunk kernels run on the client's worker pool; the elapsed time
-    /// lands in the `decode_us` counter.
+    /// Chunked codecs run on the client's worker pool, dense inline; the
+    /// elapsed time lands in the `decode_us` counter.
     fn decode_inbound_into(
         inner: &Inner,
         session_id: &SessionId,

@@ -482,41 +482,35 @@ impl Client {
                 packet_id: None,
                 payload: payload.into(),
             })),
-            QoS::AtLeastOnce => {
+            QoS::AtLeastOnce | QoS::ExactlyOnce => {
                 let id = self.inner.alloc_id();
-                let rx = self.register_pub_waiter(id);
-                self.inner.send(&Packet::Publish(Publish {
+                let (tx, rx) = bounded(2);
+                self.inner.pending_pub.lock().insert(id, Pending { tx });
+                let publish = Packet::Publish(Publish {
                     dup: false,
                     qos,
                     retain,
                     topic: topic.clone(),
                     packet_id: Some(id),
                     payload: payload.into(),
-                }))?;
-                match self.await_ack(&rx, id)? {
-                    Packet::Puback(_) => Ok(()),
-                    other => Err(unexpected(other)),
+                });
+                let acked = self.inner.send(&publish).and_then(|()| {
+                    let first = self.await_ack(&rx)?;
+                    match (qos, first) {
+                        (QoS::AtLeastOnce, Packet::Puback(_)) => Ok(()),
+                        (QoS::ExactlyOnce, Packet::Pubrec(_)) => match self.await_ack(&rx)? {
+                            Packet::Pubcomp(_) => Ok(()),
+                            other => Err(unexpected(other)),
+                        },
+                        (_, other) => Err(unexpected(other)),
+                    }
+                });
+                // The reader drops the waiter on PUBACK/PUBCOMP; on every
+                // failure it is taken back here, or its id stays reserved.
+                if acked.is_err() {
+                    self.inner.pending_pub.lock().remove(&id);
                 }
-            }
-            QoS::ExactlyOnce => {
-                let id = self.inner.alloc_id();
-                let rx = self.register_pub_waiter(id);
-                self.inner.send(&Packet::Publish(Publish {
-                    dup: false,
-                    qos,
-                    retain,
-                    topic: topic.clone(),
-                    packet_id: Some(id),
-                    payload: payload.into(),
-                }))?;
-                match self.await_ack(&rx, id)? {
-                    Packet::Pubrec(_) => {}
-                    other => return Err(unexpected(other)),
-                }
-                match self.await_ack(&rx, id)? {
-                    Packet::Pubcomp(_) => Ok(()),
-                    other => Err(unexpected(other)),
-                }
+                acked
             }
         }
     }
@@ -642,17 +636,9 @@ impl Client {
         ack
     }
 
-    fn register_pub_waiter(&self, id: PacketId) -> Receiver<Packet> {
-        let (tx, rx) = bounded(2);
-        self.inner.pending_pub.lock().insert(id, Pending { tx });
-        rx
-    }
-
-    fn await_ack(&self, rx: &Receiver<Packet>, id: PacketId) -> Result<Packet> {
-        rx.recv_timeout(self.inner.response_timeout).map_err(|_| {
-            self.inner.pending_pub.lock().remove(&id);
-            MqttError::Timeout
-        })
+    fn await_ack(&self, rx: &Receiver<Packet>) -> Result<Packet> {
+        rx.recv_timeout(self.inner.response_timeout)
+            .map_err(|_| MqttError::Timeout)
     }
 }
 
@@ -707,6 +693,63 @@ mod tests {
         );
         assert_eq!(calls.load(Ordering::SeqCst), 0);
         drop(far);
+
+        // A far end that hangs up after CONNACK: it stops reading, so
+        // every send fails, but keeps its send half, so the reader never
+        // sees the link close and the client still counts as connected.
+        let (near, far) = crate::transport::link();
+        let (far_tx, far_rx) = far.split();
+        far_tx
+            .send_packet(&Packet::Connack(crate::packet::Connack {
+                session_present: false,
+                code: ConnectReturnCode::Accepted,
+            }))
+            .unwrap();
+        let client = Client::connect_link(near, ClientOptions::new("orphaned")).unwrap();
+        drop(far_rx);
+        for qos in [QoS::AtLeastOnce, QoS::ExactlyOnce, QoS::AtLeastOnce] {
+            let sent = client.publish(&topic("t"), b"x".as_slice(), qos, false);
+            assert_eq!(sent, Err(MqttError::Disconnected));
+        }
+        assert!(client.is_connected());
+        assert_eq!(
+            client.inner.pending_pub.lock().len(),
+            0,
+            "publish waiters taken back"
+        );
+        drop(far_tx);
+    }
+
+    #[test]
+    fn an_unexpected_publish_ack_leaves_no_waiter_behind() {
+        // A far end that answers every QoS 2 PUBLISH with two PUBRECs and
+        // never a PUBCOMP: the second is the wrong ack.
+        let (near, far) = crate::transport::link();
+        let (far_tx, far_rx) = far.split();
+        far_tx
+            .send_packet(&Packet::Connack(crate::packet::Connack {
+                session_present: false,
+                code: ConnectReturnCode::Accepted,
+            }))
+            .unwrap();
+        let answerer = std::thread::spawn(move || {
+            while let Ok(frame) = far_rx.recv_frame() {
+                if let Ok((Packet::Publish(p), _)) = codec::decode(&frame) {
+                    let id = p.packet_id.unwrap();
+                    for _ in 0..2 {
+                        far_tx.send_packet(&Packet::Pubrec(id)).unwrap();
+                    }
+                }
+            }
+        });
+        let client = Client::connect_link(near, ClientOptions::new("confused")).unwrap();
+        for _ in 0..3 {
+            let sent = client.publish(&topic("t"), b"x".as_slice(), QoS::ExactlyOnce, false);
+            assert!(matches!(sent, Err(MqttError::Malformed(_))), "{sent:?}");
+        }
+        assert_eq!(client.inner.pending_pub.lock().len(), 0);
+        drop(client);
+        answerer.join().unwrap();
     }
 
     #[test]

@@ -57,7 +57,7 @@ pub mod trie;
 pub use bridge::{Bridge, BridgeConfig, BridgeDirection, BridgeTopic};
 pub use broker::{Broker, BrokerConfig, BRIDGE_PREFIX};
 pub use client::{Client, ClientOptions, Dialer, MessageHandler};
-pub use crc32::crc32;
+pub use crc32::{crc32, crc32_combine};
 pub use error::{ConnectReturnCode, MqttError, Result};
 pub use fault::{FaultAction, FaultHandle, FaultPlan, FaultRule};
 pub use fnv::fnv1a64;

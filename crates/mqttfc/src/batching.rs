@@ -7,14 +7,29 @@
 //! serializes the payload and divides it into multiple batches before
 //! sending. The batches are encoded and batch ids are allocated to them").
 //!
+//! The "compress" step is a trial, not a promise: [`split`] keeps LZSS
+//! output only when it is smaller, and gives up after 8 KiB when it is not
+//! yet winning (see [`crate::compress`]), so dense `f32` updates go out
+//! raw for the price of a short probe. Raw bodies are framed straight
+//! from the caller's payload, with no staging copy.
+//!
+//! Each byte is checksummed once per side. The sender takes one CRC of
+//! each chunk's data and derives both that frame's CRC and the
+//! whole-payload CRC from it with [`sdflmq_mqtt::crc32_combine`]; the
+//! receiver keeps the data CRC its frame check computed and folds the
+//! whole-payload check from those. The bytes each CRC covers are those of
+//! a full pass, so frames are unchanged on the wire (`docs/PROTOCOL.md`,
+//! "Chunk frames").
+//!
 //! The [`Reassembler`] tolerates out-of-order and duplicated chunks,
 //! isolates concurrent transfers by (sender, transfer id), verifies the
 //! whole-payload CRC before releasing it, and evicts stale partial
 //! transfers after a configurable age so lost chunks cannot leak memory.
 
-use crate::compress::{compress_auto, decompress_auto, MODE_RAW};
-use crate::wire::{crc32, Chunk, WireError};
+use crate::compress::{decompress_auto, try_lzss, MODE_RAW};
+use crate::wire::{crc32, encode_chunk, Chunk, WireError};
 use bytes::Bytes;
+use sdflmq_mqtt::crc32_combine;
 use std::collections::{BTreeMap, HashMap};
 use std::time::{Duration, Instant};
 
@@ -23,7 +38,10 @@ use std::time::{Duration, Instant};
 pub struct BatchConfig {
     /// Maximum bytes of payload per chunk.
     pub chunk_size: usize,
-    /// Whether to LZSS-compress the payload before splitting.
+    /// Whether LZSS may be tried on the payload before splitting. This is
+    /// permission, not a promise: the payload is stored raw whenever LZSS
+    /// would not shrink it, and the trial stops after 8 KiB if it is not
+    /// yet winning.
     pub compress: bool,
     /// Partial transfers older than this are evicted by
     /// [`Reassembler::evict_stale`].
@@ -42,39 +60,56 @@ impl Default for BatchConfig {
 
 /// Splits `payload` into encoded chunk frames ready to publish.
 ///
-/// The payload is first passed through [`compress_auto`] when the config
-/// enables compression, so receivers must reassemble with
-/// [`Reassembler::push`], which reverses it.
+/// The transfer body is `[mode tag] ++ stored payload`. With
+/// [`BatchConfig::compress`] the payload is offered to LZSS through the
+/// same decision [`compress_auto`](crate::compress::compress_auto) makes,
+/// and the body is its output. A payload LZSS does not shrink, or any
+/// payload with compression off, goes out raw: framed straight from
+/// `payload`, with the tag written into chunk 0.
+///
+/// Each chunk's data is checksummed once, and both the frame CRC and the
+/// whole-body `payload_crc` are derived from those sums. Receivers
+/// reverse all of it with [`Reassembler::push`].
 pub fn split(payload: &[u8], transfer_id: u64, config: &BatchConfig) -> Vec<Bytes> {
-    let body: Vec<u8> = if config.compress {
-        compress_auto(payload)
-    } else {
-        // Mode tag for "raw" keeps the two paths symmetrical.
-        let mut v = Vec::with_capacity(payload.len() + 1);
-        v.push(crate::compress::MODE_RAW);
-        v.extend_from_slice(payload);
-        v
+    let lzss = config.compress.then(|| try_lzss(payload)).flatten();
+    let (head, rest): (&[u8], &[u8]) = match &lzss {
+        Some(body) => (&[], body),
+        None => (&[MODE_RAW], payload),
     };
-    let payload_crc = crc32(&body);
+    // Chunk `seq` covers body bytes [seq·chunk_size, (seq+1)·chunk_size);
+    // `parts` maps that range onto `head ++ rest`.
+    let body_len = head.len() + rest.len();
     let chunk_size = config.chunk_size.max(1);
-    let total = body.len().div_ceil(chunk_size).max(1) as u32;
-    let body = Bytes::from(body);
-    let mut frames = Vec::with_capacity(total as usize);
-    for seq in 0..total {
+    let total = body_len.div_ceil(chunk_size).max(1) as u32;
+    let parts = |seq: u32| -> [&[u8]; 2] {
         let start = seq as usize * chunk_size;
-        let end = (start + chunk_size).min(body.len());
-        frames.push(
-            Chunk {
+        let end = (start + chunk_size).min(body_len);
+        let cut = |at: usize| at.saturating_sub(head.len());
+        [
+            &head[start.min(head.len())..end.min(head.len())],
+            &rest[cut(start)..cut(end)],
+        ]
+    };
+    let mut data_crcs = Vec::with_capacity(total as usize);
+    let mut payload_crc = 0;
+    for seq in 0..total {
+        let [a, b] = parts(seq);
+        let crc = crc32_combine(crc32(a), crc32(b), b.len() as u64);
+        payload_crc = crc32_combine(payload_crc, crc, (a.len() + b.len()) as u64);
+        data_crcs.push(crc);
+    }
+    (0..total)
+        .map(|seq| {
+            encode_chunk(
                 transfer_id,
                 seq,
                 total,
                 payload_crc,
-                data: body.slice(start..end),
-            }
-            .encode(),
-        );
-    }
-    frames
+                parts(seq),
+                data_crcs[seq as usize],
+            )
+        })
+        .collect()
 }
 
 /// Outcome of feeding one chunk to the reassembler.
@@ -96,8 +131,10 @@ pub enum PushResult {
 /// One transfer in flight. Chunks are kept by sequence number in an
 /// ordered map, so memory follows the bytes actually received and never
 /// the `total` a (CRC-valid but possibly hostile) first chunk declares.
+/// Each chunk keeps its data CRC from the frame check, so the
+/// whole-payload CRC is folded from them instead of re-read.
 struct Partial {
-    chunks: BTreeMap<u32, Bytes>,
+    chunks: BTreeMap<u32, (Bytes, u32)>,
     total: u32,
     payload_crc: u32,
     started: Instant,
@@ -152,7 +189,7 @@ impl Reassembler {
 
     /// Feeds one encoded chunk frame received from `sender`.
     pub fn push(&mut self, sender: &str, frame: Bytes) -> Result<PushResult, WireError> {
-        let chunk = Chunk::decode(frame)?;
+        let (chunk, data_crc) = Chunk::decode_with_crc(frame)?;
         let key = (sender.to_owned(), chunk.transfer_id);
         let partial = self
             .partials
@@ -166,30 +203,32 @@ impl Reassembler {
             return Ok(PushResult::Duplicate);
         }
         partial.bytes += chunk.data.len();
-        partial.chunks.insert(chunk.seq, chunk.data);
+        partial.chunks.insert(chunk.seq, (chunk.data, data_crc));
         let received = partial.chunks.len() as u32;
 
         if received == partial.total {
             let mut partial = self.partials.remove(&key).expect("just inserted");
-            // A single-chunk transfer's body *is* its one chunk — already
-            // a slice of the received frame, so no concatenation copy.
-            let body: Bytes = if partial.total == 1 {
-                partial.chunks.remove(&0).expect("all received")
-            } else {
-                let mut v = Vec::with_capacity(partial.bytes);
-                for piece in partial.chunks.values() {
-                    v.extend_from_slice(piece);
-                }
-                self.copied += v.len() as u64;
-                Bytes::from(v)
-            };
-            let actual = crc32(&body);
+            let actual = partial.chunks.values().fold(0, |acc, (piece, crc)| {
+                crc32_combine(acc, *crc, piece.len() as u64)
+            });
             if actual != partial.payload_crc {
                 return Err(WireError::BadChecksum {
                     expected: partial.payload_crc,
                     actual,
                 });
             }
+            // A single-chunk transfer's body *is* its one chunk — already
+            // a slice of the received frame, so no concatenation copy.
+            let body: Bytes = if partial.total == 1 {
+                partial.chunks.remove(&0).expect("all received").0
+            } else {
+                let mut v = Vec::with_capacity(partial.bytes);
+                for (piece, _) in partial.chunks.values() {
+                    v.extend_from_slice(piece);
+                }
+                self.copied += v.len() as u64;
+                Bytes::from(v)
+            };
             // Raw-mode bodies need no inflation either: slicing off the
             // mode tag yields the payload without touching the bytes.
             match body.first() {
@@ -418,6 +457,62 @@ mod tests {
             let _ = r.push("s", f).unwrap();
         }
         assert_eq!(r.copied_bytes(), blocky.len() as u64);
+    }
+
+    /// Every frame `split` makes of a fixed corpus — both modes, empty to
+    /// 200 KB, chunk sizes from 7 bytes to 64 KiB — concatenated.
+    fn golden_frames() -> Vec<u8> {
+        let mut state = 0x9E37_79B9u32;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 17;
+            state ^= state << 5;
+            state
+        };
+        let mut unit = || next() as f32 / u32::MAX as f32 - 0.5;
+        let noise: Vec<u8> = (0..30_000).map(|_| (unit() * 512.0) as u8).collect();
+        let dense: Vec<u8> = (0..40_000)
+            .flat_map(|_| (unit() * 0.2).to_le_bytes())
+            .collect();
+        let blocky: Vec<u8> = (0..50_000)
+            .flat_map(|i| (((i / 64) % 10) as f32 * 0.1).to_le_bytes())
+            .collect();
+        // Sorted (u32 index, f32 value) pairs: the shape of a top-k update.
+        let mut index = 0u32;
+        let sparse: Vec<u8> = (0..4_000)
+            .flat_map(|_| {
+                index += 1 + (unit().abs() * 64.0) as u32;
+                [index.to_le_bytes(), unit().to_le_bytes()].concat()
+            })
+            .collect();
+        let text = b"round_done session=s1 round=7 ".repeat(100);
+        let corpus: [&[u8]; 7] = [b"", b"x", &text, &noise, &dense, &blocky, &sparse];
+        let mut all = Vec::new();
+        for payload in corpus {
+            for chunk_size in [7, 1000, 4096, 64 * 1024] {
+                if chunk_size == 7 && payload.len() > 4096 {
+                    continue;
+                }
+                for compress in [false, true] {
+                    for frame in split(payload, 77, &config(chunk_size, compress)) {
+                        all.extend_from_slice(&frame);
+                    }
+                }
+            }
+        }
+        all
+    }
+
+    #[test]
+    fn split_frames_are_pinned_byte_for_byte() {
+        // Pinned from the split that staged a whole `[tag] ++ body` buffer
+        // and checksummed it in full, then every frame in full: framing
+        // straight from the payload with combined CRCs moves no byte.
+        let all = golden_frames();
+        assert_eq!(
+            (all.len(), sdflmq_mqtt::fnv1a64(&all)),
+            (2_037_076, 0xb5e0_755a_d571_2166)
+        );
     }
 
     #[test]

@@ -12,7 +12,15 @@
 //!
 //! [`compress_auto`] prepends a 1-byte mode tag and falls back to storing
 //! the input verbatim when compression would not shrink it, so callers can
-//! always round-trip through [`decompress_auto`].
+//! always round-trip through [`decompress_auto`]. It decides early: once
+//! 8 KiB of input are consumed, a trial whose output is not yet smaller
+//! than that input is abandoned and the input stored raw. Dense `f32`
+//! parameters (near-random mantissas) are never smaller, so they cost an
+//! 8 KiB probe instead of a full trial; sparse top-k frames and quantized
+//! or blocky bytes are already winning by then. The decision looks only
+//! at the bytes — no codec id, no workload — and inputs of at most 8 KiB
+//! (every control message) run the whole trial exactly as [`compress`]
+//! does. [`compress`] itself is always exhaustive.
 
 /// Sliding-window size (12-bit offsets).
 const WINDOW: usize = 4096;
@@ -64,9 +72,18 @@ fn hash3(data: &[u8], pos: usize) -> usize {
 /// uncompressed length as a little-endian u32.
 pub fn compress(input: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(input.len() / 2 + 16);
+    lzss_into(input, &mut out, usize::MAX);
+    out
+}
+
+/// Appends the LZSS stream for `input` to `out`. Once `probe` input bytes
+/// are consumed, gives up (returns `false`, `out` holding a partial
+/// stream) if the stream so far is not smaller than that input.
+fn lzss_into(input: &[u8], out: &mut Vec<u8>, mut probe: usize) -> bool {
+    let base = out.len();
     out.extend_from_slice(&(input.len() as u32).to_le_bytes());
     if input.is_empty() {
-        return out;
+        return true;
     }
 
     // Hash chains: head[h] = most recent position with hash h;
@@ -108,6 +125,12 @@ pub fn compress(input: &[u8]) -> Vec<u8> {
 
     let mut pos = 0usize;
     while pos < input.len() {
+        if pos >= probe {
+            if out.len() - base >= pos {
+                return false;
+            }
+            probe = usize::MAX;
+        }
         let mut best_len = 0usize;
         let mut best_off = 0usize;
         if pos + MIN_MATCH <= input.len() {
@@ -141,7 +164,7 @@ pub fn compress(input: &[u8]) -> Vec<u8> {
 
         if best_len >= MIN_MATCH {
             push_item(
-                &mut out,
+                out,
                 None,
                 Some((best_off, best_len)),
                 &mut flags_at,
@@ -160,7 +183,7 @@ pub fn compress(input: &[u8]) -> Vec<u8> {
             }
         } else {
             push_item(
-                &mut out,
+                out,
                 Some(input[pos]),
                 None,
                 &mut flags_at,
@@ -182,7 +205,7 @@ pub fn compress(input: &[u8]) -> Vec<u8> {
         // The trailing reserved flag byte was never used.
         out.pop();
     }
-    out
+    true
 }
 
 /// Decompresses an LZSS stream produced by [`compress`].
@@ -241,19 +264,30 @@ pub fn decompress(input: &[u8]) -> Result<Vec<u8>, CompressError> {
 
 /// Compresses if it helps; otherwise stores verbatim. Output = 1-byte mode
 /// tag + body.
+///
+/// The LZSS trial is abandoned after the first 8 KiB of input if its
+/// output is not yet smaller than the input consumed, and the payload is
+/// stored raw; inputs of at most 8 KiB always run the whole trial.
 pub fn compress_auto(input: &[u8]) -> Vec<u8> {
-    let compressed = compress(input);
-    if compressed.len() < input.len() {
-        let mut out = Vec::with_capacity(compressed.len() + 1);
-        out.push(MODE_LZSS);
-        out.extend_from_slice(&compressed);
-        out
-    } else {
+    try_lzss(input).unwrap_or_else(|| {
         let mut out = Vec::with_capacity(input.len() + 1);
         out.push(MODE_RAW);
         out.extend_from_slice(input);
         out
-    }
+    })
+}
+
+/// Input bytes after which [`compress_auto`] gives up on an LZSS trial
+/// that is not yet winning: dense `f32` bytes never turn around, so
+/// finishing the trial only produces output that is thrown away.
+const PROBE: usize = 8 * 1024;
+
+/// The [`compress_auto`] LZSS decision alone: `Some([MODE_LZSS] ++
+/// stream)` when LZSS wins, `None` when the input should be stored raw.
+pub(crate) fn try_lzss(input: &[u8]) -> Option<Vec<u8>> {
+    let mut out = Vec::with_capacity(input.len() / 2 + 16);
+    out.push(MODE_LZSS);
+    (lzss_into(input, &mut out, PROBE) && out.len() - 1 < input.len()).then_some(out)
 }
 
 /// Inverse of [`compress_auto`].
@@ -334,6 +368,48 @@ mod tests {
         let auto = compress_auto(&data);
         assert_eq!(auto[0], MODE_RAW);
         assert_eq!(decompress_auto(&auto).unwrap(), data);
+    }
+
+    fn xorshift_bytes(n: usize) -> Vec<u8> {
+        let mut state = 0x2468_ACE1u32;
+        (0..n)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 17;
+                state ^= state << 5;
+                state as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn inputs_up_to_the_probe_run_the_whole_trial() {
+        // Noise then zeros: losing when the probe would look, winning at
+        // the end. Up to 8 KiB that must still come out as LZSS,
+        // byte-identical to the exhaustive stream.
+        for len in [8 * 1024 - 1, 8 * 1024] {
+            let mut data = xorshift_bytes(len * 3 / 4);
+            data.resize(len, 0);
+            let auto = compress_auto(&data);
+            assert_eq!(auto[0], MODE_LZSS, "{len} bytes");
+            assert_eq!(auto[1..], compress(&data)[..], "{len} bytes");
+        }
+    }
+
+    #[test]
+    fn a_trial_still_losing_at_the_probe_is_abandoned() {
+        // The price of deciding early, paid knowingly: 8 KiB of noise
+        // ahead of 64 KiB of zeros is stored raw, although the exhaustive
+        // trial would end up smaller.
+        let mut data = xorshift_bytes(8 * 1024);
+        data.resize(72 * 1024, 0);
+        assert!(compress(&data).len() < data.len() / 2);
+        let auto = compress_auto(&data);
+        assert_eq!(auto[0], MODE_RAW);
+        assert_eq!(decompress_auto(&auto).unwrap(), data);
+        // The same zeros with the noise after them win as before.
+        data.rotate_left(8 * 1024);
+        assert_eq!(compress_auto(&data)[1..], compress(&data)[..]);
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //!
 //! Both use a compact length-prefixed binary layout. A CRC32 (IEEE
 //! polynomial) protects each chunk so reassembly can reject
-//! corrupted or mixed-up transfers.
+//! corrupted or mixed-up transfers; `docs/PROTOCOL.md` ("Chunk frames")
+//! specifies the chunk layout and what each CRC covers.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
@@ -50,6 +51,7 @@ impl std::error::Error for WireError {}
 /// The IEEE CRC-32 that protects chunks and whole payloads: the
 /// workspace's one implementation, shared with the broker's WAL frames.
 pub use sdflmq_mqtt::crc32;
+use sdflmq_mqtt::crc32_combine;
 
 // ---------------------------------------------------------------------------
 // Varints (LEB128) — shared by the RFC layer and the SDFLMQ control-plane
@@ -237,24 +239,29 @@ pub struct Chunk {
 impl Chunk {
     /// Encodes to a self-contained byte string with a per-chunk CRC.
     pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(28 + self.data.len());
-        buf.put_u64(self.transfer_id);
-        buf.put_u32(self.seq);
-        buf.put_u32(self.total);
-        buf.put_u32(self.payload_crc);
-        buf.put_u32(self.data.len() as u32);
-        buf.put_slice(&self.data);
-        let crc = crc32(&buf);
-        buf.put_u32(crc);
-        buf.freeze()
+        encode_chunk(
+            self.transfer_id,
+            self.seq,
+            self.total,
+            self.payload_crc,
+            [&[], &self.data],
+            crc32(&self.data),
+        )
     }
 
     /// Decodes and verifies a chunk.
-    pub fn decode(mut input: Bytes) -> Result<Chunk, WireError> {
-        if input.remaining() < 28 {
+    pub fn decode(input: Bytes) -> Result<Chunk, WireError> {
+        Chunk::decode_with_crc(input).map(|(chunk, _)| chunk)
+    }
+
+    /// [`Chunk::decode`], also returning `crc32(data)`: the frame check
+    /// computes it anyway, and reassembly folds it into the whole-payload
+    /// check instead of reading the payload a second time.
+    pub(crate) fn decode_with_crc(mut input: Bytes) -> Result<(Chunk, u32), WireError> {
+        if input.remaining() < CHUNK_HEADER + 4 {
             return Err(WireError::Truncated);
         }
-        let body = input.slice(..input.len() - 4);
+        let header_crc = crc32(&input[..CHUNK_HEADER]);
         let transfer_id = input.get_u64();
         let seq = input.get_u32();
         let total = input.get_u32();
@@ -263,9 +270,13 @@ impl Chunk {
         if input.remaining() < len + 4 {
             return Err(WireError::Truncated);
         }
+        if input.remaining() > len + 4 {
+            return Err(WireError::Invalid("bytes after the chunk trailer"));
+        }
         let data = input.split_to(len);
         let stored_crc = input.get_u32();
-        let actual = crc32(&body);
+        let data_crc = crc32(&data);
+        let actual = crc32_combine(header_crc, data_crc, len as u64);
         if stored_crc != actual {
             return Err(WireError::BadChecksum {
                 expected: stored_crc,
@@ -275,14 +286,44 @@ impl Chunk {
         if total == 0 || seq >= total {
             return Err(WireError::Invalid("chunk seq out of range"));
         }
-        Ok(Chunk {
+        let chunk = Chunk {
             transfer_id,
             seq,
             total,
             payload_crc,
             data,
-        })
+        };
+        Ok((chunk, data_crc))
     }
+}
+
+/// Bytes of a chunk frame ahead of its data: transfer id, seq, total,
+/// payload CRC, data length. A 4-byte frame CRC follows the data.
+const CHUNK_HEADER: usize = 24;
+
+/// Writes one chunk frame whose data is `data[0] ++ data[1]` and whose
+/// data CRC the caller already holds, so the frame CRC reads only the
+/// 24-byte header. Byte-identical to [`Chunk::encode`] of the same chunk.
+pub(crate) fn encode_chunk(
+    transfer_id: u64,
+    seq: u32,
+    total: u32,
+    payload_crc: u32,
+    data: [&[u8]; 2],
+    data_crc: u32,
+) -> Bytes {
+    let len = data[0].len() + data[1].len();
+    let mut buf = BytesMut::with_capacity(CHUNK_HEADER + len + 4);
+    buf.put_u64(transfer_id);
+    buf.put_u32(seq);
+    buf.put_u32(total);
+    buf.put_u32(payload_crc);
+    buf.put_u32(len as u32);
+    let crc = crc32_combine(crc32(&buf), data_crc, len as u64);
+    buf.put_slice(data[0]);
+    buf.put_slice(data[1]);
+    buf.put_u32(crc);
+    buf.freeze()
 }
 
 #[cfg(test)]
@@ -396,6 +437,30 @@ mod tests {
             Chunk::decode(Bytes::from(bad)),
             Err(WireError::BadChecksum { .. })
         ));
+    }
+
+    #[test]
+    fn chunk_frames_are_exactly_their_declared_length() {
+        let chunk = Chunk {
+            transfer_id: 3,
+            seq: 0,
+            total: 1,
+            payload_crc: 0,
+            data: Bytes::from_static(b"data"),
+        };
+        let encoded = chunk.encode();
+        let (decoded, data_crc) = Chunk::decode_with_crc(encoded.clone()).unwrap();
+        assert_eq!((decoded, data_crc), (chunk, crc32(b"data")));
+        let mut padded = encoded.to_vec();
+        padded.push(0);
+        assert_eq!(
+            Chunk::decode(Bytes::from(padded)),
+            Err(WireError::Invalid("bytes after the chunk trailer"))
+        );
+        assert_eq!(
+            Chunk::decode(encoded.slice(..encoded.len() - 1)),
+            Err(WireError::Truncated)
+        );
     }
 
     #[test]

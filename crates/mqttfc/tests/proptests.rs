@@ -66,6 +66,67 @@ proptest! {
         prop_assert_eq!(r.pending(), 0);
     }
 
+    /// Whatever the network does to the frames of two transfers sharing
+    /// one (sender, transfer id) and one chunk count — flipping a
+    /// byte of any frame, dropping, duplicating, reordering, interleaving
+    /// — the reassembler never completes with anything but one of the two
+    /// payloads.
+    #[test]
+    fn mangled_or_interleaved_transfers_never_complete_wrong(
+        a in prop::collection::vec(any::<u8>(), 0..12_000),
+        chunk_size in 64usize..4096,
+        compress_on in prop::bool::ANY,
+        merge in prop::collection::vec(prop::bool::ANY, 0..64),
+        ops in prop::collection::vec((0u8..4, any::<u32>(), any::<u32>()), 0..24),
+    ) {
+        // Every byte differs, so a mix of the two is neither; a byte-wise
+        // bijection keeps LZSS's matches, so compressed bodies have the
+        // same length and chunk count too.
+        let b: Vec<u8> = a.iter().map(|x| x ^ 0x5A).collect();
+        let cfg = BatchConfig {
+            chunk_size,
+            compress: compress_on,
+            stale_after: Duration::from_secs(60),
+        };
+        let (mut fa, mut fb) = (split(&a, 9, &cfg).into_iter(), split(&b, 9, &cfg).into_iter());
+        let mut bits = merge.iter().copied().cycle();
+        let mut stream: Vec<Bytes> = Vec::new();
+        loop {
+            let next = if bits.next().unwrap_or(true) {
+                fa.next().or_else(|| fb.next())
+            } else {
+                fb.next().or_else(|| fa.next())
+            };
+            match next {
+                Some(frame) => stream.push(frame),
+                None => break,
+            }
+        }
+        for (op, x, y) in ops {
+            let (i, j) = (x as usize % stream.len(), y as usize % stream.len());
+            match op {
+                0 => stream.swap(i, j),
+                1 => stream.insert(j, stream[i].clone()),
+                2 if stream.len() > 1 => {
+                    stream.remove(i);
+                }
+                2 => {}
+                _ => {
+                    let mut frame = stream[i].to_vec();
+                    let at = y as usize % frame.len();
+                    frame[at] ^= (x % 255 + 1) as u8;
+                    stream[i] = Bytes::from(frame);
+                }
+            }
+        }
+        let mut r = Reassembler::new(cfg);
+        for frame in stream {
+            if let Ok(PushResult::Complete(got)) = r.push("peer", frame) {
+                prop_assert!(got[..] == a[..] || got[..] == b[..], "completed with a third payload");
+            }
+        }
+    }
+
     /// Chunk frames survive encode/decode; corrupted frames are rejected,
     /// never mis-decoded silently (CRC property).
     #[test]

@@ -445,7 +445,8 @@ impl UpdateCodec {
     }
 
     /// [`UpdateCodec::decode`] into a caller-provided buffer (cleared
-    /// first), running chunk kernels on `pool`.
+    /// first), running chunk kernels on `pool`. Dense decoding is a single
+    /// copy and runs on the calling thread.
     pub fn decode_into(
         self,
         bytes: &[u8],
@@ -454,7 +455,7 @@ impl UpdateCodec {
         out: &mut Vec<f32>,
     ) -> Result<(), CodecError> {
         match self {
-            UpdateCodec::Dense => Ok(params::deserialize_into(bytes, pool, out)?),
+            UpdateCodec::Dense => Ok(params::deserialize_into(bytes, out)?),
             UpdateCodec::Fp16 => {
                 let (count, body) = check_header(bytes, &FP16_MAGIC)?;
                 if body.len() < count * 2 {

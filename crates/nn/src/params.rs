@@ -69,15 +69,12 @@ pub fn serialize_into(params: &[f32], pool: &crate::parallel::WorkerPool, out: &
     });
 }
 
-/// [`deserialize`] into a caller-provided buffer (cleared first),
-/// converting chunks on `pool`'s workers. Identical results to the serial
-/// path.
-pub fn deserialize_into(
-    bytes: &[u8],
-    pool: &crate::parallel::WorkerPool,
-    out: &mut Vec<f32>,
-) -> Result<(), ParamError> {
-    use crate::codec::PAR_CHUNK;
+/// [`deserialize`] into a caller-provided buffer (cleared first).
+///
+/// Runs on the calling thread: the body is one little-endian copy
+/// (~0.05 ms for the 109k-element MLP), cheaper than handing chunks to a
+/// worker pool and waiting for them. Identical results to the serial path.
+pub fn deserialize_into(bytes: &[u8], out: &mut Vec<f32>) -> Result<(), ParamError> {
     if bytes.len() < 8 {
         return Err(ParamError::Truncated);
     }
@@ -92,20 +89,11 @@ pub fn deserialize_into(
         return Err(ParamError::Truncated);
     }
     out.clear();
-    out.resize(count, 0.0);
-    let body = &bytes[8..8 + count * 4];
-    let tasks: Vec<std::sync::Mutex<(&[u8], &mut [f32])>> = body
-        .chunks(PAR_CHUNK * 4)
-        .zip(out.chunks_mut(PAR_CHUNK))
-        .map(std::sync::Mutex::new)
-        .collect();
-    pool.run(tasks.len(), |i| {
-        let mut t = tasks[i].lock().unwrap();
-        let (src, dst) = &mut *t;
-        for (o, v) in src.chunks_exact(4).zip(dst.iter_mut()) {
-            *v = f32::from_le_bytes(o.try_into().expect("4 bytes"));
-        }
-    });
+    out.extend(
+        bytes[8..8 + count * 4]
+            .chunks_exact(4)
+            .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]])),
+    );
     Ok(())
 }
 

@@ -1,0 +1,140 @@
+//! The transfer path's early LZSS stop, held against the exhaustive trial
+//! on the update blobs a fleet really ships: the stop must choose the
+//! same storage mode (and so the same wire bytes) as running LZSS to the
+//! end, while dense blobs pay only for the probe.
+
+use bytes::Bytes;
+use sdflmq::core::messages::{Blob, UpdateMeta};
+use sdflmq::core::{SessionId, UpdateCodec, WireVersion};
+use sdflmq::mqttfc::compress::{compress, compress_auto, MODE_LZSS, MODE_RAW};
+
+/// The 784-128-64-10 MLP's parameter count.
+const MLP_PARAMS: usize = 109_386;
+
+/// SplitMix64.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// Uniform in `[-1, 1)`.
+    fn unit(&mut self) -> f32 {
+        (self.next() >> 40) as f32 / (1u64 << 23) as f32 - 1.0
+    }
+}
+
+/// A framed update blob as a client publishes it: `local` encoded with
+/// `codec` (deltas against `base`) behind a binary `BlobMeta` header.
+fn update_blob(codec: UpdateCodec, local: &[f32], base: &[f32]) -> Vec<u8> {
+    let params = codec.encode(local, codec.is_delta().then_some(base), &mut Vec::new());
+    let meta = UpdateMeta {
+        codec: codec.id(),
+        elems: local.len() as u64,
+        delta_base: u32::from(codec.is_delta()),
+    };
+    Blob {
+        session_id: SessionId::new("transfer-path").unwrap(),
+        round: 1,
+        sender: "dev000".to_owned(),
+        weight: 256,
+        params: Bytes::from(params),
+    }
+    .encode_update(WireVersion::LATEST, &meta)
+    .to_vec()
+}
+
+/// The mode a trial run to the end chooses: LZSS exactly when its whole
+/// stream is smaller than the input.
+fn exhaustive_mode(input: &[u8]) -> u8 {
+    if compress(input).len() < input.len() {
+        MODE_LZSS
+    } else {
+        MODE_RAW
+    }
+}
+
+#[test]
+fn the_early_stop_chooses_the_exhaustive_mode() {
+    let mut rng = Rng(2);
+    // A global in [-0.1, 0.1) and a local one cubed-uniform step away:
+    // most coordinates barely move, a few move a lot.
+    let global: Vec<f32> = (0..MLP_PARAMS).map(|_| 0.1 * rng.unit()).collect();
+    let local: Vec<f32> = global
+        .iter()
+        .map(|g| {
+            let u = rng.unit();
+            g + 0.005 * u * u * u
+        })
+        .collect();
+    let small: Vec<f32> = local[..64].to_vec();
+    let blocky: Vec<u8> = (0..50_000)
+        .flat_map(|i| (((i / 64) % 10) as f32 * 0.1).to_le_bytes())
+        .collect();
+    let mut state = 0x1234_5678u32;
+    let noise: Vec<u8> = (0..64 * 1024)
+        .map(|_| {
+            state ^= state << 13;
+            state ^= state >> 17;
+            state ^= state << 5;
+            state as u8
+        })
+        .collect();
+    let text = b"round_done session=s1 round=7 ".repeat(300);
+
+    // (name, input, the mode it must come out in — `None`: whichever the
+    // exhaustive trial picks).
+    let cases: Vec<(&str, Vec<u8>, Option<u8>)> = vec![
+        (
+            "dense MLP blob",
+            update_blob(UpdateCodec::Dense, &local, &global),
+            Some(MODE_RAW),
+        ),
+        (
+            "top-k MLP blob",
+            update_blob(UpdateCodec::TOP_K_DEFAULT, &local, &global),
+            Some(MODE_LZSS),
+        ),
+        (
+            "int8 MLP blob",
+            update_blob(UpdateCodec::Int8, &local, &global),
+            None,
+        ),
+        (
+            "fp16 MLP blob",
+            update_blob(UpdateCodec::Fp16, &local, &global),
+            None,
+        ),
+        ("blocky floats", blocky, Some(MODE_LZSS)),
+        ("xorshift bytes", noise.clone(), Some(MODE_RAW)),
+        (
+            "64-element dense blob",
+            update_blob(UpdateCodec::Dense, &small, &global[..64]),
+            None,
+        ),
+        (
+            "sub-8 KiB noise",
+            noise[..8 * 1024 - 1].to_vec(),
+            Some(MODE_RAW),
+        ),
+        ("sub-8 KiB text", text[..8 * 1024].to_vec(), Some(MODE_LZSS)),
+    ];
+    for (name, input, expected) in cases {
+        let exhaustive = exhaustive_mode(&input);
+        if let Some(mode) = expected {
+            assert_eq!(exhaustive, mode, "{name}: the exhaustive trial");
+        }
+        let auto = compress_auto(&input);
+        assert_eq!(auto[0], exhaustive, "{name}: the early stop");
+        if exhaustive == MODE_LZSS {
+            assert_eq!(auto[1..], compress(&input)[..], "{name}: LZSS stream");
+        } else {
+            assert_eq!(auto[1..], input[..], "{name}: raw body");
+        }
+    }
+}
