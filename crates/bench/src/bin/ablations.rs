@@ -37,11 +37,10 @@ fn ratio_sweep() {
             aggregator_ratio: ratio,
         };
         let aggs = topo.aggregator_count(20);
-        let report = simulate(
-            SimConfig::builder(20, topo)
-                .optimizer(Box::new(MemoryAware))
-                .build(),
-        );
+        let report = simulate(SimConfig {
+            optimizer: Box::new(MemoryAware),
+            ..SimConfig::fig8(20, topo)
+        });
         println!(
             "{ratio:>7.1} | {:>10.2} | {aggs:>12}",
             report.total.as_secs_f64()
@@ -62,16 +61,15 @@ fn optimizer_sweep() {
         ("random", Box::new(RandomPlacement::new(3))),
     ];
     for (name, optimizer) in policies {
-        let report = simulate(
-            SimConfig::builder(
+        let report = simulate(SimConfig {
+            optimizer,
+            ..SimConfig::fig8(
                 15,
                 Topology::Hierarchical {
                     aggregator_ratio: 0.3,
                 },
             )
-            .optimizer(optimizer)
-            .build(),
-        );
+        });
         let changes: usize = report.rounds.iter().skip(1).map(|r| r.rearranged).sum();
         println!(
             "{name:>12} | {:>10.2} | {:>16.1}",
@@ -145,17 +143,16 @@ fn bridge_sweep() {
     println!("\n## ABL-4: broker bridging (20 clients, 10 rounds, virtual time)");
     println!("{:>8} | {:>10}", "regions", "total (s)");
     for regions in [1u32, 2, 4] {
-        let report = simulate(
-            SimConfig::builder(
+        let report = simulate(SimConfig {
+            optimizer: Box::new(MemoryAware),
+            regions,
+            ..SimConfig::fig8(
                 20,
                 Topology::Hierarchical {
                     aggregator_ratio: 0.3,
                 },
             )
-            .optimizer(Box::new(MemoryAware))
-            .regions(regions)
-            .build(),
-        );
+        });
         println!("{regions:>8} | {:>10.2}", report.total.as_secs_f64());
     }
     println!("(bridged regions pay a per-hop latency but keep per-broker load lower;");
@@ -235,32 +232,31 @@ fn genetic_sweep() {
     println!("\n## ABL-6: black-box genetic placement (paper future work) - heterogeneous fleet");
     println!("16 clients (1 large / 1 medium / 2 small, cycled), 120 rounds, stationary loads");
     let run = |optimizer: Box<dyn sdflmq_core::RoleOptimizer>| -> Vec<f64> {
-        let report = simulate(
-            SimConfig::builder(
+        let report = simulate(SimConfig {
+            optimizer,
+            rounds: 120,
+            drift: false, // stationary fleet: GA fitness stays comparable
+            // Light local training plus a large model: the round is
+            // dominated by aggregation, and an aggregator whose parameter
+            // stack spills its free memory pays the thrash penalty (paper
+            // s-III.E.6) - placement is the lever under test.
+            samples_per_client: 50,
+            local_epochs: 1,
+            model_params: 2_000_000,
+            scale_bandwidth_with_cpu: true,
+            system_mix: vec![
+                SystemSpec::edge_large(),
+                SystemSpec::edge_medium(),
+                SystemSpec::edge_small(),
+                SystemSpec::edge_small(),
+            ],
+            ..SimConfig::fig8(
                 16,
                 Topology::Hierarchical {
                     aggregator_ratio: 0.3,
                 },
             )
-            .optimizer(optimizer)
-            .rounds(120)
-            .drift(false) // stationary fleet: GA fitness stays comparable
-            // Light local training plus a large model: the round is
-            // dominated by aggregation, and an aggregator whose parameter
-            // stack spills its free memory pays the thrash penalty (paper
-            // s-III.E.6) - placement is the lever under test.
-            .samples_per_client(50)
-            .local_epochs(1)
-            .model_params(2_000_000)
-            .scale_bandwidth_with_cpu(true)
-            .system_mix(vec![
-                SystemSpec::edge_large(),
-                SystemSpec::edge_medium(),
-                SystemSpec::edge_small(),
-                SystemSpec::edge_small(),
-            ])
-            .build(),
-        );
+        });
         report
             .rounds
             .iter()

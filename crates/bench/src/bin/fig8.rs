@@ -23,11 +23,10 @@ use sdflmq_core::{simulate, MemoryAware, SimConfig, Topology};
 const CLIENT_COUNTS: [usize; 4] = [5, 10, 15, 20];
 
 fn run(num_clients: usize, topology: Topology) -> (f64, f64, f64) {
-    let report = simulate(
-        SimConfig::builder(num_clients, topology)
-            .optimizer(Box::new(MemoryAware))
-            .build(),
-    );
+    let report = simulate(SimConfig {
+        optimizer: Box::new(MemoryAware),
+        ..SimConfig::fig8(num_clients, topology)
+    });
     let train: f64 = report
         .rounds
         .iter()

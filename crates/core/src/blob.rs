@@ -31,12 +31,14 @@ pub struct BlobCtx {
 /// Handler invoked with each fully reassembled blob.
 pub type BlobHandler = Arc<dyn Fn(Blob, BlobCtx) + Send + Sync>;
 
+/// QoS of every blob publish and subscription.
+const QOS: QoS = QoS::AtLeastOnce;
+
 /// A blob pub/sub endpoint bound to one MQTT client.
 #[derive(Clone)]
 pub struct BlobChannel {
     client: Client,
     batch: BatchConfig,
-    qos: QoS,
     transfer_base: u64,
     next_transfer: Arc<AtomicU64>,
     dropped: Arc<AtomicU64>,
@@ -48,11 +50,10 @@ pub struct BlobChannel {
 
 impl BlobChannel {
     /// Wraps an MQTT client. `node_id` seeds transfer-id uniqueness.
-    pub fn new(client: Client, node_id: &str, batch: BatchConfig, qos: QoS) -> BlobChannel {
+    pub fn new(client: Client, node_id: &str, batch: BatchConfig) -> BlobChannel {
         BlobChannel {
             client,
             batch,
-            qos,
             transfer_base: sdflmq_mqtt::fnv1a64(node_id.as_bytes()),
             next_transfer: Arc::new(AtomicU64::new(1)),
             dropped: Arc::new(AtomicU64::new(0)),
@@ -84,28 +85,10 @@ impl BlobChannel {
         self.dropped.load(Ordering::Relaxed)
     }
 
-    /// Publishes a blob to `topic` with v1 (JSON) metadata — the version
-    /// every peer understands. Session participants should prefer
-    /// [`BlobChannel::publish_versioned`] with the role's stamped
-    /// data-plane version.
-    pub fn publish(&self, topic: &TopicName, blob: &Blob) -> Result<()> {
-        self.publish_versioned(topic, blob, WireVersion::V1Json)
-    }
-
-    /// Publishes with an explicit metadata wire version, splitting into
-    /// chunks as needed. Relays use the version the inbound blob carried;
-    /// session participants use the role's stamped data-plane version.
-    pub fn publish_versioned(
-        &self,
-        topic: &TopicName,
-        blob: &Blob,
-        version: WireVersion,
-    ) -> Result<()> {
-        self.publish_update(topic, blob, version, &UpdateMeta::default())
-    }
-
-    /// Publishes a blob whose payload uses a non-default update codec,
-    /// declaring it in the metadata header.
+    /// Publishes a blob, splitting it into chunks as needed. `version` is
+    /// the metadata wire version (relays answer in the version the inbound
+    /// blob carried; participants use their role's stamped data-plane
+    /// version) and `update` declares the payload's codec.
     pub fn publish_update(
         &self,
         topic: &TopicName,
@@ -120,7 +103,7 @@ impl BlobChannel {
         let encoded = blob.encode_update_into(version, update, self.pool.take_bytes());
         let transfer_id = self.transfer_base ^ self.next_transfer.fetch_add(1, Ordering::Relaxed);
         for frame in split(&encoded, transfer_id, &self.batch) {
-            self.client.publish(topic, frame, self.qos, false)?;
+            self.client.publish(topic, frame, QOS, false)?;
         }
         self.pool.lend(encoded);
         Ok(())
@@ -139,7 +122,7 @@ impl BlobChannel {
         let copied_seen = AtomicU64::new(0);
         self.client.subscribe_with(
             filter,
-            self.qos,
+            QOS,
             Arc::new(move |publish| {
                 if counter.fetch_add(1, Ordering::Relaxed) % 256 == 255 {
                     reassembler.lock().evict_stale();
@@ -211,7 +194,12 @@ mod tests {
 
     fn channel(broker: &Broker, id: &str) -> BlobChannel {
         let client = Client::connect(broker, ClientOptions::new(id)).unwrap();
-        BlobChannel::new(client, id, BatchConfig::default(), QoS::AtLeastOnce)
+        BlobChannel::new(client, id, BatchConfig::default())
+    }
+
+    /// Publishes with JSON v1 metadata and the dense codec's header.
+    fn publish(chan: &BlobChannel, topic: &TopicName, blob: &Blob) -> Result<()> {
+        chan.publish_update(topic, blob, WireVersion::V1Json, &UpdateMeta::default())
     }
 
     fn blob(params: Vec<u8>) -> Blob {
@@ -239,9 +227,7 @@ mod tests {
             .unwrap();
         let tx_chan = channel(&broker, "tx");
         let sent = blob((0..200_000u32).map(|i| (i % 251) as u8).collect());
-        tx_chan
-            .publish(&TopicName::new("params/in").unwrap(), &sent)
-            .unwrap();
+        publish(&tx_chan, &TopicName::new("params/in").unwrap(), &sent).unwrap();
         let got = rx.recv_timeout(Duration::from_secs(5)).unwrap();
         assert_eq!(got, sent);
     }
@@ -262,10 +248,11 @@ mod tests {
         let tx_chan = channel(&broker, "tx2");
         let sent = blob(vec![9u8; 10_000]);
         tx_chan
-            .publish_versioned(
+            .publish_update(
                 &TopicName::new("params/bin").unwrap(),
                 &sent,
                 WireVersion::V2Binary,
+                &UpdateMeta::default(),
             )
             .unwrap();
         let got = rx.recv_timeout(Duration::from_secs(5)).unwrap();
@@ -298,7 +285,7 @@ mod tests {
         }
         // A valid blob still flows on the same subscription.
         let sent = blob(vec![7u8; 1000]);
-        tx_chan.publish(&topic, &sent).unwrap();
+        publish(&tx_chan, &topic, &sent).unwrap();
         let got = rx.recv_timeout(Duration::from_secs(5)).unwrap();
         assert_eq!(got, sent);
         assert_eq!(rx_chan.dropped_transfers(), 1);
@@ -314,7 +301,7 @@ mod tests {
             compress: false,
             ..BatchConfig::default()
         };
-        let rx_chan = BlobChannel::new(client, "rx0", batch, QoS::AtLeastOnce);
+        let rx_chan = BlobChannel::new(client, "rx0", batch);
         let (tx, rx) = bounded(1);
         rx_chan
             .subscribe(
@@ -329,11 +316,9 @@ mod tests {
             compress: false,
             ..BatchConfig::default()
         };
-        let tx_chan = BlobChannel::new(client, "tx0", batch, QoS::AtLeastOnce);
+        let tx_chan = BlobChannel::new(client, "tx0", batch);
         let sent = blob((0..10_000u32).map(|i| (i % 251) as u8).collect());
-        tx_chan
-            .publish(&TopicName::new("params/zc").unwrap(), &sent)
-            .unwrap();
+        publish(&tx_chan, &TopicName::new("params/zc").unwrap(), &sent).unwrap();
         let got = rx.recv_timeout(Duration::from_secs(5)).unwrap();
         assert_eq!(got, sent);
         assert_eq!(rx_chan.copied_bytes(), 0, "receive path must be zero-copy");
@@ -345,10 +330,10 @@ mod tests {
         let tx_chan = channel(&broker, "txp");
         let topic = TopicName::new("params/pool").unwrap();
         let sent = blob(vec![3u8; 20_000]);
-        tx_chan.publish(&topic, &sent).unwrap();
+        publish(&tx_chan, &topic, &sent).unwrap();
         let (fresh_after_first, _) = tx_chan.buffer_pool().counters();
         for _ in 0..5 {
-            tx_chan.publish(&topic, &sent).unwrap();
+            publish(&tx_chan, &topic, &sent).unwrap();
         }
         let (fresh, reused) = tx_chan.buffer_pool().counters();
         assert_eq!(
@@ -375,12 +360,8 @@ mod tests {
         for sid in ["a", "b"] {
             let mut b = blob(vec![1, 2, 3]);
             b.session_id = SessionId::new(sid).unwrap();
-            tx_chan
-                .publish(
-                    &TopicName::new(format!("sdflmq/session/{sid}/ps")).unwrap(),
-                    &b,
-                )
-                .unwrap();
+            let topic = TopicName::new(format!("sdflmq/session/{sid}/ps")).unwrap();
+            publish(&tx_chan, &topic, &b).unwrap();
         }
         let mut got = vec![
             rx.recv_timeout(Duration::from_secs(5)).unwrap(),
@@ -409,8 +390,7 @@ mod tests {
             handles.push(std::thread::spawn(move || {
                 let mut b = blob(vec![0u8; 50_000]);
                 b.sender = format!("t{i}");
-                chan.publish(&TopicName::new("agg/stack").unwrap(), &b)
-                    .unwrap();
+                publish(&chan, &TopicName::new("agg/stack").unwrap(), &b).unwrap();
             }));
         }
         for h in handles {

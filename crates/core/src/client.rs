@@ -42,7 +42,7 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 use sdflmq_mqtt::client::Dialer;
 use sdflmq_mqtt::{Broker, Client, ClientOptions, TopicFilter};
-use sdflmq_mqttfc::{FleetController, RfcConfig};
+use sdflmq_mqttfc::{BatchConfig, FleetController};
 use sdflmq_nn::codec::UpdateCodec;
 use sdflmq_nn::parallel::WorkerPool;
 use sdflmq_sim::{ClientSystem, SystemSpec};
@@ -53,8 +53,6 @@ use std::time::{Duration, Instant};
 
 /// Client configuration.
 pub struct SdflmqClientConfig {
-    /// Role the client volunteers for.
-    pub preferred_role: PreferredRole,
     /// Aggregation rule used when this client holds an aggregator position.
     pub aggregation: Box<dyn AggregationMethod>,
     /// Simulated machine profile (the psutil stand-in; see
@@ -62,8 +60,6 @@ pub struct SdflmqClientConfig {
     pub system: SystemSpec,
     /// Seed for the system model's load drift.
     pub system_seed: u64,
-    /// MQTTFC transport settings (chunking, compression, QoS).
-    pub rfc: RfcConfig,
     /// The richest update codec this client supports (and volunteers for
     /// its sessions' data plane). The coordinator negotiates the session
     /// codec as the floor across all members, so a single dense-only
@@ -91,11 +87,9 @@ pub struct SdflmqClientConfig {
 impl Default for SdflmqClientConfig {
     fn default() -> Self {
         SdflmqClientConfig {
-            preferred_role: PreferredRole::Any,
             aggregation: Box::new(FedAvg),
             system: SystemSpec::edge_medium(),
             system_seed: 0,
-            rfc: RfcConfig::default(),
             update_codec: UpdateCodec::Dense,
             clock: wall_clock(),
             dialer: None,
@@ -325,8 +319,8 @@ impl SdflmqClient {
             mqtt_options.dialer = Some(dialer);
         }
         let mqtt = Client::connect(broker, mqtt_options)?;
-        let fc = FleetController::new(mqtt.clone(), id.as_str(), config.rfc.clone())?;
-        let blobs = BlobChannel::new(mqtt, id.as_str(), config.rfc.batch.clone(), config.rfc.qos);
+        let fc = FleetController::new(mqtt.clone(), id.as_str())?;
+        let blobs = BlobChannel::new(mqtt, id.as_str(), BatchConfig::default());
         let workers = if config.data_plane_threads == 0 {
             WorkerPool::global()
         } else {
@@ -370,9 +364,7 @@ impl SdflmqClient {
             }),
         )?;
 
-        let client = SdflmqClient { inner };
-        let _ = config.preferred_role; // preferred role travels per join call
-        Ok(client)
+        Ok(SdflmqClient { inner })
     }
 
     /// The client's id.

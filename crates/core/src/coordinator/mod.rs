@@ -62,7 +62,7 @@ use bytes::Bytes;
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 use sdflmq_mqtt::{Broker, Client, ClientOptions, Dialer, QoS};
-use sdflmq_mqttfc::{FleetController, RfcConfig};
+use sdflmq_mqttfc::FleetController;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -75,8 +75,6 @@ pub struct CoordinatorConfig {
     /// Per-round deadline before stragglers are penalized (and, after
     /// `max_missed_rounds` strikes, evicted).
     pub round_timeout: Duration,
-    /// MQTTFC transport settings.
-    pub rfc: RfcConfig,
     /// Fraction of contributors whose round-done reports close a round
     /// (1.0 = wait for everyone, the paper's behaviour).
     pub quorum: f64,
@@ -110,7 +108,6 @@ impl Default for CoordinatorConfig {
             },
             optimizer: Box::new(MemoryAware),
             round_timeout: Duration::from_secs(120),
-            rfc: RfcConfig::default(),
             quorum: 1.0,
             grace: Duration::from_millis(500),
             max_missed_rounds: 2,
@@ -162,7 +159,7 @@ impl Coordinator {
             mqtt_options.dialer = Some(dialer);
         }
         let client = Client::connect(broker, mqtt_options)?;
-        let fc = FleetController::new(client, COORDINATOR_ID, config.rfc.clone())?;
+        let fc = FleetController::new(client, COORDINATOR_ID)?;
         let clock = Arc::clone(&config.clock);
         let role_ack_timeout = config.role_ack_timeout;
         let core = Arc::new(Mutex::new(CoordCore::new(config)));

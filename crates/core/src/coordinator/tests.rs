@@ -741,7 +741,7 @@ fn run_live(steps: &[Expected]) -> Vec<Vec<CtrlMsg>> {
     let coordinator = Coordinator::start(&broker, differential_config(clock.clone())).unwrap();
     let controller = |id: &str| {
         let client = Client::connect(&broker, ClientOptions::new(id)).unwrap();
-        FleetController::new(client, id, RfcConfig::default()).unwrap()
+        FleetController::new(client, id).unwrap()
     };
     let heard: Vec<Arc<Mutex<Vec<CtrlMsg>>>> = (0..CLIENTS).map(|_| Arc::default()).collect();
     let fleet: Vec<FleetController> = (0..CLIENTS)

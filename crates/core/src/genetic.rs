@@ -359,12 +359,11 @@ mod tests {
     }
 
     /// Paper §III role arbitration / §VII black-box placement: on a
-    /// skewed-resource fleet the GA — selected declaratively through
-    /// [`OptimizerKind`] — must learn placements that beat the static
-    /// id-order baseline, using nothing but end-to-end round delay.
+    /// skewed-resource fleet the GA must learn placements that beat the
+    /// static id-order baseline, using nothing but end-to-end round delay.
     #[test]
     fn genetic_beats_static_order_on_skewed_fleet() {
-        use crate::optimizer::OptimizerKind;
+        use crate::optimizer::{RoleOptimizer, StaticOrder};
         use crate::simrun::SimConfig;
         use crate::Topology;
         use sdflmq_sim::SystemSpec;
@@ -390,22 +389,21 @@ mod tests {
                 base_memory_load: 0.3,
             },
         ];
-        let run = |kind: OptimizerKind| {
-            let report = crate::simrun::simulate(
-                SimConfig::builder(
+        let run = |optimizer: Box<dyn RoleOptimizer>| {
+            let report = crate::simrun::simulate(SimConfig {
+                rounds: 120,
+                system_mix: skewed.clone(),
+                // Stationary environment: fitness snapshots stay
+                // comparable across generations.
+                drift: false,
+                optimizer,
+                ..SimConfig::fig8(
                     8,
                     Topology::Hierarchical {
                         aggregator_ratio: 0.25,
                     },
                 )
-                .rounds(120)
-                .system_mix(skewed.clone())
-                // Stationary environment: fitness snapshots stay
-                // comparable across generations.
-                .drift(false)
-                .optimizer_kind(kind)
-                .build(),
-            );
+            });
             // Score the *learned* regime: the mean of the last 30 rounds,
             // after the GA has had generations to converge.
             let tail: f64 = report
@@ -419,8 +417,8 @@ mod tests {
             tail
         };
 
-        let static_tail = run(OptimizerKind::Static);
-        let genetic_tail = run(OptimizerKind::genetic_default());
+        let static_tail = run(Box::new(StaticOrder));
+        let genetic_tail = run(Box::new(GeneticPlacement::new(GeneticConfig::default())));
         assert!(
             genetic_tail < static_tail,
             "GA should beat StaticOrder on a skewed fleet: \

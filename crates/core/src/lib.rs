@@ -69,13 +69,12 @@ pub use genetic::{GeneticConfig, GeneticPlacement};
 pub use ids::{ClientId, ModelId, SessionId};
 pub use messages::UpdateMeta;
 pub use optimizer::{
-    CompositeScore, MemoryAware, OptimizerKind, RandomPlacement, RoleOptimizer, RoundRobin,
-    StaticOrder,
+    CompositeScore, MemoryAware, RandomPlacement, RoleOptimizer, RoundRobin, StaticOrder,
 };
 pub use param_server::{ParamServer, PARAM_SERVER_ID};
 pub use roles::{PreferredRole, Role, RoleSpec};
 pub use sdflmq_nn::codec::UpdateCodec;
-pub use simrun::{simulate, RoundBreakdown, SimConfig, SimConfigBuilder, SimReport};
+pub use simrun::{simulate, RoundBreakdown, SimConfig, SimReport};
 pub use topics::Position;
 pub use wirecodec::{
     BinaryCodec, ControlMsg, Envelope, JsonCodec, MsgKind, SessionReply, WireCodec, WireVersion,

@@ -2,84 +2,23 @@
 //! paper §III.E.6).
 //!
 //! An optimizer ranks clients for aggregation duty each round. The module
-//! ships four policies spanning the paper's design space: a static
+//! ships five policies spanning the paper's design space: a static
 //! baseline, round-robin rotation (device-exhaustion avoidance), a
 //! memory-aware greedy policy (the paper's motivating scenario: aggregators
-//! must hold the parameter stack in RAM), and a composite weighted score.
-//! Policies are deliberately modular — "depending on the needs of the
-//! application, different optimizers can be employed".
+//! must hold the parameter stack in RAM), a composite weighted score, and
+//! seeded random placement; [`crate::genetic::GeneticPlacement`] adds a
+//! black-box one. Policies are deliberately modular — "depending on the
+//! needs of the application, different optimizers can be employed" — and
+//! there is one way to pick one: hand a `Box<dyn RoleOptimizer>` to
+//! [`crate::CoordinatorConfig::optimizer`] or
+//! [`crate::SimConfig::optimizer`].
 
 use crate::clustering::ClientInfo;
-use crate::genetic::{GeneticConfig, GeneticPlacement};
 use crate::ids::ClientId;
 use crate::roles::PreferredRole;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-
-/// Declarative selector for a role-optimization policy.
-///
-/// Unlike a `Box<dyn RoleOptimizer>`, a kind is `Clone` and can be built
-/// any number of times — which is what config surfaces need: the
-/// simulation's [`crate::SimConfigBuilder::optimizer_kind`] and the chaos
-/// scenario DSL (which re-runs the same builder twice for its determinism
-/// gate) both take a kind and call [`OptimizerKind::build`] per run.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub enum OptimizerKind {
-    /// [`StaticOrder`]: fixed id-sorted placement (experimental control).
-    #[default]
-    Static,
-    /// [`RoundRobin`]: rotate aggregation duty by round number.
-    RoundRobin,
-    /// [`MemoryAware`]: greedy by reported free memory.
-    MemoryAware,
-    /// [`CompositeScore`] with its default weights.
-    Composite,
-    /// [`RandomPlacement`] seeded with the given value.
-    Random {
-        /// RNG seed for the shuffle stream.
-        seed: u64,
-    },
-    /// [`GeneticPlacement`] (paper §VII): black-box placement learned
-    /// from end-to-end round delay.
-    Genetic {
-        /// GA hyperparameters (population, elites, mutation, seed).
-        config: GeneticConfig,
-    },
-}
-
-impl OptimizerKind {
-    /// The genetic optimizer with default hyperparameters.
-    pub fn genetic_default() -> OptimizerKind {
-        OptimizerKind::Genetic {
-            config: GeneticConfig::default(),
-        }
-    }
-
-    /// Builds a fresh optimizer instance of this kind.
-    pub fn build(&self) -> Box<dyn RoleOptimizer> {
-        match self {
-            OptimizerKind::Static => Box::new(StaticOrder),
-            OptimizerKind::RoundRobin => Box::new(RoundRobin),
-            OptimizerKind::MemoryAware => Box::new(MemoryAware),
-            OptimizerKind::Composite => Box::new(CompositeScore::default()),
-            OptimizerKind::Random { seed } => Box::new(RandomPlacement::new(*seed)),
-            OptimizerKind::Genetic { config } => Box::new(GeneticPlacement::new(config.clone())),
-        }
-    }
-
-    /// The policy name the built optimizer will report.
-    pub fn name(&self) -> &'static str {
-        match self {
-            OptimizerKind::Static => "static",
-            OptimizerKind::RoundRobin => "round_robin",
-            OptimizerKind::MemoryAware => "memory_aware",
-            OptimizerKind::Composite => "composite",
-            OptimizerKind::Random { .. } => "random",
-            OptimizerKind::Genetic { .. } => "genetic",
-        }
-    }
-}
 
 /// Ranks clients for aggregation positions; index 0 becomes the root.
 pub trait RoleOptimizer: Send {

@@ -14,7 +14,7 @@ use crate::messages::{Blob, UpdateMeta};
 use crate::topics::global_topic;
 use crate::wirecodec::WireVersion;
 use parking_lot::Mutex;
-use sdflmq_mqtt::{Broker, Client, ClientOptions, Dialer, QoS, TopicFilter};
+use sdflmq_mqtt::{Broker, Client, ClientOptions, Dialer, TopicFilter};
 use sdflmq_mqttfc::BatchConfig;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -74,12 +74,7 @@ impl ParamServer {
             mqtt_options.dialer = Some(dialer);
         }
         let client = Client::connect(broker, mqtt_options)?;
-        let blobs = Arc::new(BlobChannel::new(
-            client,
-            PARAM_SERVER_ID,
-            batch,
-            QoS::AtLeastOnce,
-        ));
+        let blobs = Arc::new(BlobChannel::new(client, PARAM_SERVER_ID, batch));
         let repo: Arc<Mutex<HashMap<SessionId, GlobalModel>>> =
             Arc::new(Mutex::new(HashMap::new()));
 

@@ -22,12 +22,22 @@ use sdflmq_nn::codec::UpdateCodec;
 use sdflmq_sim::{ClientSystem, Network, NodeLink, SimDuration, SimTime, SystemSpec};
 use std::collections::HashMap;
 
+const MS: u64 = 1_000_000;
+/// Per-link propagation latency.
+const LINK_LATENCY: SimDuration = SimDuration::from_nanos(5 * MS);
+/// Broker forwarding overhead per message.
+const BROKER_FORWARD: SimDuration = SimDuration::from_nanos(2 * MS);
+/// Added latency for each cross-region (bridged) message.
+const BRIDGE_HOP: SimDuration = SimDuration::from_nanos(20 * MS);
+/// Virtual time the coordinator needs to notice a dropout and re-delegate
+/// (deadline + grace stand-in); charged once per round with at least one
+/// eviction.
+const EVICTION_DETECT: SimDuration = SimDuration::from_nanos(500 * MS);
+
 /// Parameters for a simulated deployment.
 ///
-/// Construct with [`SimConfig::fig8`] (the paper baseline) or
-/// [`SimConfig::builder`]; the struct is `#[non_exhaustive]` so new
-/// scenario knobs can be added without breaking downstream constructors.
-#[non_exhaustive]
+/// Start from [`SimConfig::fig8`] (the paper baseline) and override with
+/// struct update: `SimConfig { rounds: 3, ..SimConfig::fig8(n, topology) }`.
 pub struct SimConfig {
     /// Number of contributing clients.
     pub num_clients: usize,
@@ -43,20 +53,12 @@ pub struct SimConfig {
     pub local_epochs: usize,
     /// Per-client access bandwidth in bytes/s.
     pub bandwidth: f64,
-    /// Per-link propagation latency.
-    pub link_latency: SimDuration,
-    /// Broker forwarding overhead per message.
-    pub broker_forward: SimDuration,
     /// Role-optimization policy (rearranges between rounds).
     pub optimizer: Box<dyn RoleOptimizer>,
-    /// Effective wire-size ratio after compression (1.0 = uncompressed).
-    pub compression_ratio: f64,
-    /// Machine profile assigned to every client.
-    pub system: SystemSpec,
     /// Seed for system drift.
     pub seed: u64,
-    /// Heterogeneous machine profiles: client `i` uses
-    /// `system_mix[i % len]`. Empty = everyone uses [`SimConfig::system`].
+    /// Machine profiles: client `i` uses `system_mix[i % len]` (must not
+    /// be empty; one entry gives a uniform fleet).
     pub system_mix: Vec<SystemSpec>,
     /// Whether per-client loads drift between rounds. Disable for
     /// stationary-environment experiments (e.g. evaluating black-box
@@ -67,11 +69,9 @@ pub struct SimConfig {
     /// Off by default (uniform links, the Fig. 8 setting).
     pub scale_bandwidth_with_cpu: bool,
     /// Number of broker regions; clients are assigned round-robin. 1 = a
-    /// single broker. The parameter server and cross-region traffic pay
-    /// [`SimConfig::bridge_hop`] extra latency.
+    /// single broker. The parameter server and cross-region traffic pay a
+    /// 20 ms bridge hop.
     pub regions: u32,
-    /// Added latency for each cross-region (bridged) message.
-    pub bridge_hop: SimDuration,
     /// Control-plane wire version: sizes of `set_role` / `round_start` /
     /// `round_done` frames are measured from real encodings at this
     /// version and reported in [`SimReport::control_bytes`].
@@ -79,18 +79,14 @@ pub struct SimConfig {
     /// Per-client, per-round probability of dropping out (dying) at the
     /// start of a round. Dropped clients are evicted: the plan for that
     /// round is rebuilt over the survivors (mid-round re-delegation) and
-    /// the round pays [`SimConfig::eviction_detect`] once. 0.0 = the
-    /// paper's churn-free baseline.
+    /// the round pays a 500 ms detection window once. 0.0 = the paper's
+    /// churn-free baseline.
     pub dropout_prob: f64,
     /// Fraction of clients that are stragglers: their training time is
     /// multiplied by [`SimConfig::straggler_multiplier`].
     pub straggler_fraction: f64,
     /// Training-time multiplier applied to straggler clients (≥ 1.0).
     pub straggler_multiplier: f64,
-    /// Virtual time the coordinator needs to notice a dropout and
-    /// re-delegate (deadline + grace stand-in); charged once per round
-    /// with at least one eviction.
-    pub eviction_detect: SimDuration,
     /// Data-plane update codec. Per-hop payload bytes are measured from a
     /// *real encoding* of a model-sized vector (not an estimate), and the
     /// report carries the resulting compression ratio and the single-
@@ -107,7 +103,10 @@ pub struct SimConfig {
 impl SimConfig {
     /// The Fig. 8 baseline configuration for `num_clients` clients and the
     /// given topology: the paper's MNIST MLP, 600 samples/client, 5 local
-    /// epochs, constrained edge machines on 2 MB/s links.
+    /// epochs, constrained edge machines on 2 MB/s links with 5 ms
+    /// latency and 2 ms of broker forwarding per message. Raw f32
+    /// parameters do not LZSS-compress (see ABL-3), so the wire carries
+    /// the measured update frame 1:1.
     pub fn fig8(num_clients: usize, topology: Topology) -> SimConfig {
         SimConfig {
             num_clients,
@@ -117,117 +116,19 @@ impl SimConfig {
             samples_per_client: 600,
             local_epochs: 5,
             bandwidth: 2.0 * 1024.0 * 1024.0,
-            link_latency: SimDuration::from_millis(5),
-            broker_forward: SimDuration::from_millis(2),
             optimizer: Box::new(crate::optimizer::MemoryAware),
-            // Raw f32 parameters do not LZSS-compress (see ABL-3), so the
-            // wire carries them 1:1.
-            compression_ratio: 1.0,
-            system: SystemSpec::edge_small(),
             seed: 7,
-            system_mix: Vec::new(),
+            system_mix: vec![SystemSpec::edge_small()],
             drift: true,
             scale_bandwidth_with_cpu: false,
             regions: 1,
-            bridge_hop: SimDuration::from_millis(20),
             control_wire: WireVersion::LATEST,
             dropout_prob: 0.0,
             straggler_fraction: 0.0,
             straggler_multiplier: 1.0,
-            eviction_detect: SimDuration::from_millis(500),
             update_codec: UpdateCodec::Dense,
             data_plane_threads: 0,
         }
-    }
-
-    /// Starts a builder seeded with the Fig. 8 baseline for
-    /// `num_clients` / `topology`. Every other knob has a setter, so
-    /// examples and benches survive new fields being added here.
-    pub fn builder(num_clients: usize, topology: Topology) -> SimConfigBuilder {
-        SimConfigBuilder {
-            config: SimConfig::fig8(num_clients, topology),
-        }
-    }
-}
-
-/// Builder for [`SimConfig`] (see [`SimConfig::builder`]).
-pub struct SimConfigBuilder {
-    config: SimConfig,
-}
-
-macro_rules! builder_setters {
-    ($($(#[$doc:meta])* $field:ident : $ty:ty),+ $(,)?) => {
-        $(
-            $(#[$doc])*
-            pub fn $field(mut self, value: $ty) -> Self {
-                self.config.$field = value;
-                self
-            }
-        )+
-    };
-}
-
-impl SimConfigBuilder {
-    builder_setters! {
-        /// FL rounds to run.
-        rounds: u32,
-        /// Model size in parameters (f32 each).
-        model_params: usize,
-        /// Local samples per client.
-        samples_per_client: usize,
-        /// Local epochs per round.
-        local_epochs: usize,
-        /// Per-client access bandwidth in bytes/s.
-        bandwidth: f64,
-        /// Per-link propagation latency.
-        link_latency: SimDuration,
-        /// Broker forwarding overhead per message.
-        broker_forward: SimDuration,
-        /// Role-optimization policy.
-        optimizer: Box<dyn RoleOptimizer>,
-        /// Effective wire-size ratio after compression.
-        compression_ratio: f64,
-        /// Machine profile assigned to every client.
-        system: SystemSpec,
-        /// Seed for system drift.
-        seed: u64,
-        /// Heterogeneous machine profiles (round-robin).
-        system_mix: Vec<SystemSpec>,
-        /// Whether per-client loads drift between rounds.
-        drift: bool,
-        /// Scale access bandwidth with CPU class.
-        scale_bandwidth_with_cpu: bool,
-        /// Number of broker regions.
-        regions: u32,
-        /// Added latency per cross-region message.
-        bridge_hop: SimDuration,
-        /// Control-plane wire version.
-        control_wire: WireVersion,
-        /// Per-client, per-round dropout probability.
-        dropout_prob: f64,
-        /// Fraction of clients that straggle.
-        straggler_fraction: f64,
-        /// Training-time multiplier for stragglers.
-        straggler_multiplier: f64,
-        /// Virtual re-delegation delay per round with evictions.
-        eviction_detect: SimDuration,
-        /// Data-plane update codec.
-        update_codec: UpdateCodec,
-        /// Worker threads for the data-plane timing probe.
-        data_plane_threads: usize,
-    }
-
-    /// Selects the role-optimization policy declaratively (see
-    /// [`crate::optimizer::OptimizerKind`]) — the config-file-friendly
-    /// alternative to handing in a boxed [`RoleOptimizer`].
-    pub fn optimizer_kind(mut self, kind: crate::optimizer::OptimizerKind) -> Self {
-        self.config.optimizer = kind.build();
-        self
-    }
-
-    /// Finalizes the configuration.
-    pub fn build(self) -> SimConfig {
-        self.config
     }
 }
 
@@ -277,7 +178,7 @@ pub struct SimReport {
     /// Name of the data-plane update codec the run used.
     pub data_codec: &'static str,
     /// Measured per-hop data-plane frame bytes (blob header + encoded
-    /// payload) before [`SimConfig::compression_ratio`] scaling.
+    /// payload); every simulated transfer carries exactly this many.
     pub update_frame_bytes: u64,
     /// Measured compression vs the dense f32 frame (1.0 for dense).
     pub codec_compression: f64,
@@ -285,11 +186,6 @@ pub struct SimReport {
     /// vector (0.0 for dense). Error feedback retries this across rounds
     /// on the real runtime; here it quantifies the single-update loss.
     pub codec_divergence: f64,
-    /// Transfers dropped on the data plane. The virtual network neither
-    /// corrupts nor reorders, so this is 0 today; the field mirrors the
-    /// runtime's [`crate::client::DataPlaneStats`] so reports stay
-    /// comparable across the two substrates.
-    pub dropped_transfers: u64,
     /// Wall-clock milliseconds one model-sized encode took at
     /// [`SimConfig::data_plane_threads`], measured by the codec probe
     /// (real encode of the probe vector, not an estimate).
@@ -347,11 +243,7 @@ pub fn simulate(mut config: SimConfig) -> SimReport {
         .iter()
         .enumerate()
         .map(|(i, id)| {
-            let spec = if config.system_mix.is_empty() {
-                config.system.clone()
-            } else {
-                config.system_mix[i % config.system_mix.len()].clone()
-            };
+            let spec = config.system_mix[i % config.system_mix.len()].clone();
             (
                 id.clone(),
                 ClientSystem::new(spec, config.seed ^ (i as u64) << 1),
@@ -360,7 +252,6 @@ pub fn simulate(mut config: SimConfig) -> SimReport {
         .collect();
 
     let probe = CodecProbe::measure(&config);
-    let payload_bytes = (probe.frame_bytes as f64 * config.compression_ratio).ceil() as u64;
 
     let mut infos: Vec<ClientInfo> = ids
         .iter()
@@ -418,7 +309,7 @@ pub fn simulate(mut config: SimConfig) -> SimReport {
             &new_plan,
             &systems,
             &config,
-            payload_bytes,
+            probe.frame_bytes,
             round,
             rearranged,
             dropped.len(),
@@ -458,7 +349,6 @@ pub fn simulate(mut config: SimConfig) -> SimReport {
         update_frame_bytes: probe.frame_bytes,
         codec_compression: probe.compression,
         codec_divergence: probe.divergence,
-        dropped_transfers: 0,
         encode_ms: probe.encode_ms,
         decode_ms: probe.decode_ms,
         fold_ms: probe.fold_ms,
@@ -649,8 +539,8 @@ fn simulate_round(
     train_scale: &HashMap<ClientId, f64>,
     network_bytes: &mut u64,
 ) -> RoundBreakdown {
-    let mut net = Network::new(config.broker_forward);
-    net.bridge_hop = config.bridge_hop;
+    let mut net = Network::new(BROKER_FORWARD);
+    net.bridge_hop = BRIDGE_HOP;
     let regions = config.regions.max(1);
     for (i, assignment) in plan.assignments.iter().enumerate() {
         let bandwidth = if config.scale_bandwidth_with_cpu {
@@ -661,14 +551,14 @@ fn simulate_round(
         };
         net.add_node_in_region(
             assignment.client.as_str().to_owned(),
-            NodeLink::symmetric(bandwidth, config.link_latency),
+            NodeLink::symmetric(bandwidth, LINK_LATENCY),
             i as u32 % regions,
         );
     }
     // The parameter server sits in region 0 with a fatter pipe.
     net.add_node_in_region(
         "ps",
-        NodeLink::symmetric(config.bandwidth * 4.0, config.link_latency),
+        NodeLink::symmetric(config.bandwidth * 4.0, LINK_LATENCY),
         0,
     );
 
@@ -677,7 +567,7 @@ fn simulate_round(
     // set_role/ack pair before the round opens, and a round with
     // evictions first pays the coordinator's dropout-detection window.
     let detect = if evicted > 0 {
-        config.eviction_detect
+        EVICTION_DETECT
     } else {
         SimDuration::ZERO
     };
@@ -852,14 +742,13 @@ mod tests {
 
     #[test]
     fn binary_control_plane_is_smaller() {
-        let run = |wire| {
-            simulate(
-                SimConfig::builder(8, Topology::Central)
-                    .rounds(3)
-                    .optimizer(Box::new(StaticOrder))
-                    .control_wire(wire)
-                    .build(),
-            )
+        let run = |control_wire| {
+            simulate(SimConfig {
+                rounds: 3,
+                optimizer: Box::new(StaticOrder),
+                control_wire,
+                ..SimConfig::fig8(8, Topology::Central)
+            })
         };
         let v1 = run(crate::wirecodec::WireVersion::V1Json);
         let v2 = run(crate::wirecodec::WireVersion::V2Binary);
@@ -872,23 +761,6 @@ mod tests {
         );
         // The data plane is unaffected by the control codec.
         assert_eq!(v1.network_bytes, v2.network_bytes);
-    }
-
-    #[test]
-    fn builder_matches_functional_update() {
-        let a = simulate(
-            SimConfig::builder(6, Topology::Central)
-                .rounds(2)
-                .optimizer(Box::new(StaticOrder))
-                .build(),
-        );
-        let b = simulate(SimConfig {
-            rounds: 2,
-            optimizer: Box::new(StaticOrder),
-            ..SimConfig::fig8(6, Topology::Central)
-        });
-        assert_eq!(a.total, b.total);
-        assert_eq!(a.network_bytes, b.network_bytes);
     }
 
     #[test]
@@ -909,19 +781,18 @@ mod tests {
 
     #[test]
     fn dropout_evicts_and_session_survives() {
-        let report = simulate(
-            SimConfig::builder(
+        let report = simulate(SimConfig {
+            rounds: 8,
+            optimizer: Box::new(StaticOrder),
+            dropout_prob: 0.05,
+            seed: 11,
+            ..SimConfig::fig8(
                 20,
                 Topology::Hierarchical {
                     aggregator_ratio: 0.3,
                 },
             )
-            .rounds(8)
-            .optimizer(Box::new(StaticOrder))
-            .dropout_prob(0.05)
-            .seed(11)
-            .build(),
-        );
+        });
         assert_eq!(report.rounds.len(), 8, "no round aborts under churn");
         assert!(report.evicted > 0, "5% per-round churn over 8 rounds");
         assert!(report.completed_despite_dropout > 0);
@@ -934,20 +805,18 @@ mod tests {
 
     #[test]
     fn codec_accounting_reports_real_reductions() {
-        let run = |codec| {
-            simulate(
-                SimConfig::builder(8, Topology::Central)
-                    .rounds(2)
-                    .optimizer(Box::new(StaticOrder))
-                    .update_codec(codec)
-                    .build(),
-            )
+        let run = |update_codec| {
+            simulate(SimConfig {
+                rounds: 2,
+                optimizer: Box::new(StaticOrder),
+                update_codec,
+                ..SimConfig::fig8(8, Topology::Central)
+            })
         };
         let dense = run(UpdateCodec::Dense);
         assert_eq!(dense.data_codec, "dense");
         assert!((dense.codec_compression - 1.0).abs() < 1e-9);
         assert_eq!(dense.codec_divergence, 0.0);
-        assert_eq!(dense.dropped_transfers, 0);
 
         let int8 = run(UpdateCodec::Int8);
         assert_eq!(int8.data_codec, "int8");
@@ -974,15 +843,14 @@ mod tests {
 
     #[test]
     fn probe_times_data_plane_and_threads_leave_accounting_alone() {
-        let run = |threads: usize| {
-            simulate(
-                SimConfig::builder(4, Topology::Central)
-                    .rounds(1)
-                    .optimizer(Box::new(StaticOrder))
-                    .update_codec(UpdateCodec::Int8)
-                    .data_plane_threads(threads)
-                    .build(),
-            )
+        let run = |data_plane_threads| {
+            simulate(SimConfig {
+                rounds: 1,
+                optimizer: Box::new(StaticOrder),
+                update_codec: UpdateCodec::Int8,
+                data_plane_threads,
+                ..SimConfig::fig8(4, Topology::Central)
+            })
         };
         let serial = run(1);
         assert!(serial.encode_ms >= 0.0);
@@ -999,15 +867,14 @@ mod tests {
 
     #[test]
     fn stragglers_slow_rounds_down() {
-        let run = |fraction: f64| {
-            simulate(
-                SimConfig::builder(8, Topology::Central)
-                    .rounds(2)
-                    .optimizer(Box::new(StaticOrder))
-                    .straggler_fraction(fraction)
-                    .straggler_multiplier(4.0)
-                    .build(),
-            )
+        let run = |straggler_fraction| {
+            simulate(SimConfig {
+                rounds: 2,
+                optimizer: Box::new(StaticOrder),
+                straggler_fraction,
+                straggler_multiplier: 4.0,
+                ..SimConfig::fig8(8, Topology::Central)
+            })
         };
         let base = run(0.0);
         let slow = run(1.0);
@@ -1022,16 +889,15 @@ mod tests {
     #[test]
     fn dropout_runs_are_deterministic() {
         let run = || {
-            simulate(
-                SimConfig::builder(12, Topology::Central)
-                    .rounds(4)
-                    .optimizer(Box::new(StaticOrder))
-                    .dropout_prob(0.1)
-                    .straggler_fraction(0.25)
-                    .straggler_multiplier(2.0)
-                    .seed(3)
-                    .build(),
-            )
+            simulate(SimConfig {
+                rounds: 4,
+                optimizer: Box::new(StaticOrder),
+                dropout_prob: 0.1,
+                straggler_fraction: 0.25,
+                straggler_multiplier: 2.0,
+                seed: 3,
+                ..SimConfig::fig8(12, Topology::Central)
+            })
         };
         let a = run();
         let b = run();

@@ -178,12 +178,11 @@ proptest! {
     #[test]
     fn sim_delay_monotone_in_clients(n in 2usize..24) {
         let run = |clients: usize| {
-            simulate(
-                SimConfig::builder(clients, Topology::Central)
-                    .optimizer(Box::new(StaticOrder))
-                    .rounds(2)
-                    .build(),
-            )
+            simulate(SimConfig {
+                optimizer: Box::new(StaticOrder),
+                rounds: 2,
+                ..SimConfig::fig8(clients, Topology::Central)
+            })
         };
         let small = run(n);
         let large = run(n + 4);
@@ -199,13 +198,12 @@ proptest! {
     #[test]
     fn sim_is_deterministic(n in 2usize..16, seed in any::<u64>()) {
         let run = || {
-            simulate(
-                SimConfig::builder(n, Topology::Hierarchical { aggregator_ratio: 0.3 })
-                    .optimizer(Box::new(StaticOrder))
-                    .rounds(2)
-                    .seed(seed)
-                    .build(),
-            )
+            simulate(SimConfig {
+                optimizer: Box::new(StaticOrder),
+                rounds: 2,
+                seed,
+                ..SimConfig::fig8(n, Topology::Hierarchical { aggregator_ratio: 0.3 })
+            })
         };
         let a = run();
         let b = run();

@@ -29,6 +29,10 @@ struct Rig {
 
 impl Rig {
     fn new() -> Rig {
+        Rig::with_config(&BrokerConfig::default())
+    }
+
+    fn with_config(config: &BrokerConfig) -> Rig {
         let counters = Arc::new(BrokerCounters::default());
         let index = Arc::new(SharedIndex::new());
         let (tx, mailbox) = unbounded();
@@ -36,7 +40,7 @@ impl Rig {
         let now = Instant::now();
         let proto = ShardProto::new(
             0,
-            &BrokerConfig::default(),
+            config,
             &counters,
             &index,
             vec![ShardHandle::new(tx, wake)],
@@ -205,6 +209,37 @@ fn keepalive_expires_at_exactly_one_and_a_half_intervals() {
     let stats = rig.counters.snapshot();
     assert_eq!(stats.keepalive_timeouts, 1);
     assert_eq!(stats.connections_current, 0);
+}
+
+#[test]
+fn offline_queue_keeps_the_newest_max_queued_per_session() {
+    let mut rig = Rig::with_config(&BrokerConfig {
+        max_queued_per_session: 3,
+        ..BrokerConfig::default()
+    });
+    let sub = rig.connect("sub", false, 0, None);
+    sub.expect_connack(false);
+    sub.subscribe(&mut rig, "t", QoS::AtLeastOnce);
+    drop(sub);
+    rig.pump();
+    let publ = rig.connect("pub", true, 0, None);
+    publ.expect_connack(false);
+    for (id, payload) in [(1, b"1"), (2, b"2"), (3, b"3"), (4, b"4"), (5, b"5")] {
+        publ.send(publish("t", payload, QoS::AtLeastOnce, Some(id)));
+    }
+    rig.pump();
+    let stats = rig.counters.snapshot();
+    assert_eq!((stats.queued_current, stats.dropped), (3, 2));
+
+    let sub = rig.connect("sub", false, 0, None);
+    sub.expect_connack(true);
+    let replayed: Vec<Bytes> = std::iter::from_fn(|| sub.recv())
+        .map(|packet| match packet {
+            Packet::Publish(p) => p.payload,
+            other => panic!("expected a replayed publish, got {other:?}"),
+        })
+        .collect();
+    assert_eq!(replayed, [&b"3"[..], b"4", b"5"]);
 }
 
 #[test]

@@ -1,15 +1,16 @@
 //! High-level MQTT client.
 //!
-//! The client owns three threads:
+//! The client owns two threads, named `<id>-reader` and `<id>-dispatch`:
 //!
 //! * a **reader** that decodes frames, answers protocol handshakes
 //!   (PUBACK/PUBREC/PUBREL/PUBCOMP), resolves pending operation waiters, and
 //!   forwards application messages to the dispatcher;
 //! * a **dispatcher** that runs registered topic handlers — kept off the
 //!   reader thread so a handler may itself publish (even QoS 1/2) without
-//!   deadlocking the acknowledgement path;
-//! * an optional **pinger** that emits PINGREQ at half the keep-alive
-//!   interval.
+//!   deadlocking the acknowledgement path.
+//!
+//! CONNECT always asks for keep-alive 0: the broker never expires a
+//! client for silence, so the client sends no PINGREQ.
 //!
 //! Messages that match no registered handler land in a default inbox
 //! readable via [`Client::recv_timeout`].
@@ -53,8 +54,6 @@ pub struct ClientOptions {
     pub client_id: String,
     /// Discard session state on connect/disconnect.
     pub clean_session: bool,
-    /// Keep-alive interval in seconds (0 disables pinging).
-    pub keep_alive: u16,
     /// Optional last-will registration.
     pub will: Option<LastWill>,
     /// How long blocking operations wait for broker acknowledgements.
@@ -64,30 +63,16 @@ pub struct ClientOptions {
 }
 
 impl ClientOptions {
-    /// Sensible defaults for an id: clean session, no keep-alive, 5 s acks.
+    /// Sensible defaults for an id: clean session, 5 s acks.
     pub fn new(client_id: impl Into<String>) -> Self {
         ClientOptions {
             client_id: client_id.into(),
             clean_session: true,
-            keep_alive: 0,
             will: None,
             response_timeout: Duration::from_secs(5),
             dialer: None,
         }
     }
-
-    /// Installs a redial factory: the client reconnects (and re-subscribes
-    /// when the broker lost the session) after transport failures.
-    pub fn with_dialer(mut self, dialer: Dialer) -> Self {
-        self.dialer = Some(dialer);
-        self
-    }
-}
-
-/// A [`Dialer`] that opens a real TCP connection to `addr` on every dial
-/// (pair with [`crate::broker::Broker::listen`]).
-pub fn tcp_dialer(addr: std::net::SocketAddr) -> Dialer {
-    Arc::new(move || crate::transport::tcp_link(addr))
 }
 
 struct Pending {
@@ -104,7 +89,6 @@ struct Inner {
     response_timeout: Duration,
     /// CONNECT parameters replayed on every redial.
     clean_session: bool,
-    keep_alive: u16,
     will: Option<LastWill>,
     dialer: Option<Dialer>,
     /// Waiters for QoS publish acks, keyed by packet id.
@@ -180,7 +164,7 @@ impl Client {
         sender.send_packet(&Packet::Connect(Connect {
             client_id: options.client_id.clone(),
             clean_session: options.clean_session,
-            keep_alive: options.keep_alive,
+            keep_alive: 0,
             will: options.will.clone(),
         }))?;
         // Handshake runs synchronously before the reader thread exists.
@@ -205,7 +189,6 @@ impl Client {
             closed: AtomicBool::new(false),
             response_timeout: options.response_timeout,
             clean_session: options.clean_session,
-            keep_alive: options.keep_alive,
             will: options.will.clone(),
             dialer: options.dialer.clone(),
             pending_pub: Mutex::new(HashMap::new()),
@@ -288,39 +271,6 @@ impl Client {
             })
             .expect("spawn reader");
 
-        // Pinger thread. With a dialer it outlives individual connections:
-        // send failures mark the client disconnected and pinging resumes
-        // once the reader re-establishes the transport.
-        if options.keep_alive > 0 {
-            let ping_inner = Arc::downgrade(&inner);
-            let redials = options.dialer.is_some();
-            let interval = Duration::from_secs_f64((options.keep_alive as f64 / 2.0).max(0.1));
-            std::thread::Builder::new()
-                .name(format!("{}-pinger", options.client_id))
-                .spawn(move || loop {
-                    std::thread::sleep(interval);
-                    let Some(inner) = ping_inner.upgrade() else {
-                        return;
-                    };
-                    if inner.closed.load(Ordering::Acquire) {
-                        return;
-                    }
-                    if !inner.connected.load(Ordering::Acquire) {
-                        if redials {
-                            continue;
-                        }
-                        return;
-                    }
-                    if inner.send(&Packet::Pingreq).is_err() {
-                        inner.connected.store(false, Ordering::Release);
-                        if !redials {
-                            return;
-                        }
-                    }
-                })
-                .expect("spawn pinger");
-        }
-
         Ok(Client { inner, inbox_rx })
     }
 
@@ -342,7 +292,7 @@ impl Client {
                 sender.send_packet(&Packet::Connect(Connect {
                     client_id: inner.client_id.clone(),
                     clean_session: inner.clean_session,
-                    keep_alive: inner.keep_alive,
+                    keep_alive: 0,
                     will: inner.will.clone(),
                 }))?;
                 let connack = loop {
@@ -750,6 +700,39 @@ mod tests {
         assert_eq!(client.inner.pending_pub.lock().len(), 0);
         drop(client);
         answerer.join().unwrap();
+    }
+
+    #[test]
+    fn a_default_client_runs_a_reader_and_a_dispatcher_and_nothing_else() {
+        // Names of this process's threads that start with the client's id.
+        // The kernel keeps 15 bytes of a name, so a short id keeps both
+        // whole.
+        let named = || {
+            let mut names: Vec<String> = std::fs::read_dir("/proc/self/task")
+                .into_iter()
+                .flatten()
+                .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+                .map(|name| name.trim().to_owned())
+                .filter(|name| name.starts_with("lone-"))
+                .collect();
+            names.sort();
+            names
+        };
+        if std::fs::metadata("/proc/self/task").is_err() {
+            return;
+        }
+        let broker = Broker::start_default();
+        let client = Client::connect(&broker, ClientOptions::new("lone")).unwrap();
+        // A thread names itself once it runs, so give the names a moment.
+        for _ in 0..3000 {
+            if named().len() >= 2 {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        std::thread::sleep(Duration::from_millis(50));
+        assert_eq!(named(), ["lone-dispatch", "lone-reader"]);
+        drop(client);
     }
 
     #[test]

@@ -880,6 +880,31 @@ mod tests {
     }
 
     #[test]
+    fn always_fsyncs_every_written_batch() {
+        let dir = temp_dir("always");
+        let counters = Arc::new(BrokerCounters::default());
+        let config = cfg(&dir).durability(Durability::Always);
+        let (store, _) = PersistStore::open(&dir, 1, &config, 64, Arc::clone(&counters)).unwrap();
+        for i in 0..32 {
+            store.append_shard(
+                0,
+                WalRecord::SessionCreate {
+                    client: format!("c{i}"),
+                },
+            );
+            // A drain every eight records forces several batches.
+            if i % 8 == 7 {
+                store.drain();
+            }
+        }
+        let snap = counters.snapshot();
+        assert_eq!(snap.wal_records, 32);
+        assert!(snap.wal_batches >= 4, "{} batches", snap.wal_batches);
+        assert_eq!(snap.fsyncs, snap.wal_batches, "one fsync per batch");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn shed_overflow_counts_and_requests_compaction() {
         let dir = temp_dir("shed");
         let counters = Arc::new(BrokerCounters::default());

@@ -874,14 +874,17 @@ fn kill_fault_fires_testament_then_victim_redials_and_resumes() {
 
     let dial_broker = Arc::clone(&broker);
     let dialer: Dialer = Arc::new(move || dial_broker.connect_transport());
-    let mut victim_options = ClientOptions::new("victim").with_dialer(dialer);
-    victim_options.clean_session = false;
-    victim_options.will = Some(LastWill {
-        topic: TopicName::new("wills/victim").unwrap(),
-        payload: Bytes::from_static(b"gone"),
-        qos: QoS::AtLeastOnce,
-        retain: false,
-    });
+    let victim_options = ClientOptions {
+        clean_session: false,
+        will: Some(LastWill {
+            topic: TopicName::new("wills/victim").unwrap(),
+            payload: Bytes::from_static(b"gone"),
+            qos: QoS::AtLeastOnce,
+            retain: false,
+        }),
+        dialer: Some(dialer),
+        ..ClientOptions::new("victim")
+    };
     let victim = Client::connect(&broker, victim_options).unwrap();
     victim.subscribe_str("trigger", QoS::AtLeastOnce).unwrap();
 

@@ -16,7 +16,7 @@
 //!
 //! ```
 //! use sdflmq_mqtt::{Broker, Client, ClientOptions};
-//! use sdflmq_mqttfc::{FleetController, RfcConfig};
+//! use sdflmq_mqttfc::FleetController;
 //! use std::sync::Arc;
 //! use bytes::Bytes;
 //!
@@ -24,7 +24,6 @@
 //! let svc = FleetController::new(
 //!     Client::connect(&broker, ClientOptions::new("svc")).unwrap(),
 //!     "svc",
-//!     RfcConfig::default(),
 //! )
 //! .unwrap();
 //! svc.expose("ping", Arc::new(|_msg| Ok(Bytes::from_static(b"pong"))))
@@ -33,7 +32,6 @@
 //! let cli = FleetController::new(
 //!     Client::connect(&broker, ClientOptions::new("cli")).unwrap(),
 //!     "cli",
-//!     RfcConfig::default(),
 //! )
 //! .unwrap();
 //! let reply = cli.call_with_reply("ping", Bytes::new()).unwrap();
@@ -52,5 +50,5 @@ pub mod wire;
 pub use batching::{BatchConfig, PushResult, Reassembler};
 pub use error::{Result, RfcError};
 pub use json::{Json, JsonError};
-pub use rfc::{function_topic, inbox_topic, FleetController, RfcConfig, RfcHandler};
+pub use rfc::{function_topic, inbox_topic, FleetController, RfcHandler};
 pub use wire::{crc32, get_varint, put_varint, Chunk, RfcKind, RfcMessage, WireError};

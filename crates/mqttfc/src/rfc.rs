@@ -32,26 +32,11 @@ use std::time::Duration;
 /// requested one.
 pub type RfcHandler = Arc<dyn Fn(&RfcMessage) -> std::result::Result<Bytes, String> + Send + Sync>;
 
-/// Fleet-controller configuration.
-#[derive(Debug, Clone)]
-pub struct RfcConfig {
-    /// Batching parameters (chunk size, compression, staleness).
-    pub batch: BatchConfig,
-    /// QoS used for all RFC publishes.
-    pub qos: QoS,
-    /// Default deadline for [`FleetController::call_with_reply`].
-    pub call_timeout: Duration,
-}
+/// QoS of every RFC publish and subscription.
+const QOS: QoS = QoS::AtLeastOnce;
 
-impl Default for RfcConfig {
-    fn default() -> Self {
-        RfcConfig {
-            batch: BatchConfig::default(),
-            qos: QoS::AtLeastOnce,
-            call_timeout: Duration::from_secs(30),
-        }
-    }
-}
+/// Deadline of [`FleetController::call_with_reply`].
+const CALL_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Returns the request topic for a function name.
 pub fn function_topic(function: &str) -> TopicName {
@@ -66,7 +51,6 @@ pub fn inbox_topic(node_id: &str) -> TopicName {
 struct Shared {
     client: Client,
     node_id: String,
-    config: RfcConfig,
     next_call: AtomicU64,
     next_transfer: AtomicU64,
     transfer_base: u64,
@@ -103,8 +87,8 @@ impl Shared {
     fn send_envelope(&self, topic: &TopicName, msg: &RfcMessage) -> Result<()> {
         let encoded = msg.encode();
         let transfer_id = self.alloc_transfer_id();
-        for frame in split(&encoded, transfer_id, &self.config.batch) {
-            self.client.publish(topic, frame, self.config.qos, false)?;
+        for frame in split(&encoded, transfer_id, &BatchConfig::default()) {
+            self.client.publish(topic, frame, QOS, false)?;
         }
         Ok(())
     }
@@ -128,16 +112,15 @@ impl std::fmt::Debug for FleetController {
 
 impl FleetController {
     /// Wraps an MQTT client, subscribing to this node's response inbox.
-    pub fn new(client: Client, node_id: impl Into<String>, config: RfcConfig) -> Result<Self> {
+    pub fn new(client: Client, node_id: impl Into<String>) -> Result<Self> {
         let node_id = node_id.into();
         let shared = Arc::new(Shared {
             client: client.clone(),
             node_id: node_id.clone(),
             transfer_base: fnv1a64(node_id.as_bytes()),
-            config: config.clone(),
             next_call: AtomicU64::new(1),
             next_transfer: AtomicU64::new(1),
-            reassembler: Mutex::new(Reassembler::new(config.batch.clone())),
+            reassembler: Mutex::new(Reassembler::new(BatchConfig::default())),
             pending: Mutex::new(HashMap::new()),
             handlers: RwLock::new(HashMap::new()),
             push_count: AtomicU64::new(0),
@@ -148,7 +131,7 @@ impl FleetController {
         let inbox = inbox_topic(&node_id);
         client.subscribe_with(
             &TopicFilter::new(inbox.as_str()).expect("inbox topic is a valid filter"),
-            config.qos,
+            QOS,
             Arc::new(move |publish| {
                 let Some(shared) = inbox_shared.upgrade() else {
                     return;
@@ -194,7 +177,7 @@ impl FleetController {
         let fn_name = function.to_owned();
         let subscribed = self.shared.client.subscribe_with(
             &TopicFilter::new(topic.as_str()).expect("fn topic is a valid filter"),
-            self.shared.config.qos,
+            QOS,
             Arc::new(move |publish| {
                 let Some(shared) = shared.upgrade() else {
                     return;
@@ -252,7 +235,7 @@ impl FleetController {
     }
 
     /// Fire-and-forget call: publishes the request and returns once the
-    /// chunks are acknowledged at the configured QoS.
+    /// chunks are acknowledged (QoS 1).
     pub fn call(&self, function: &str, payload: impl Into<Bytes>) -> Result<()> {
         let msg = RfcMessage {
             call_id: self.shared.next_call.fetch_add(1, Ordering::Relaxed),
@@ -265,10 +248,9 @@ impl FleetController {
         self.shared.send_envelope(&function_topic(function), &msg)
     }
 
-    /// Calls a function and blocks for its reply (up to the configured
-    /// timeout).
+    /// Calls a function and blocks for its reply (up to 30 s).
     pub fn call_with_reply(&self, function: &str, payload: impl Into<Bytes>) -> Result<Bytes> {
-        self.call_with_reply_timeout(function, payload, self.shared.config.call_timeout)
+        self.call_with_reply_timeout(function, payload, CALL_TIMEOUT)
     }
 
     /// Calls a function and blocks for its reply with an explicit deadline.
@@ -319,7 +301,7 @@ mod tests {
 
     fn controller(broker: &Broker, id: &str) -> FleetController {
         let client = Client::connect(broker, ClientOptions::new(id)).unwrap();
-        FleetController::new(client, id, RfcConfig::default()).unwrap()
+        FleetController::new(client, id).unwrap()
     }
 
     #[test]
@@ -445,7 +427,7 @@ mod tests {
             ..ClientOptions::new("n")
         };
         let client = Client::connect_link(near, options).unwrap();
-        let ctl = FleetController::new(client, "n", RfcConfig::default()).unwrap();
+        let ctl = FleetController::new(client, "n").unwrap();
         for _ in 0..2 {
             let err = ctl.expose("f", Arc::new(|_| Ok(Bytes::new()))).unwrap_err();
             assert_eq!(err, RfcError::Mqtt(sdflmq_mqtt::MqttError::Timeout));

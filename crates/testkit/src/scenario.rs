@@ -17,7 +17,7 @@
 use crate::poll::wait_until;
 use crate::trace::{ClientOutcome, ScenarioTrace};
 use parking_lot::{Condvar, Mutex, RwLock};
-use sdflmq_core::optimizer::{OptimizerKind, RoleOptimizer, StaticOrder};
+use sdflmq_core::optimizer::{RoleOptimizer, StaticOrder};
 use sdflmq_core::session::SessionState;
 use sdflmq_core::{
     ClientId, Coordinator, CoordinatorConfig, CoreError, ModelId, ParamServer, PreferredRole,
@@ -123,7 +123,6 @@ pub struct ScenarioBuilder {
     fault_plan: Option<FaultPlan>,
     hashed_rules: Vec<String>,
     optimizer: fn() -> Box<dyn RoleOptimizer>,
-    optimizer_kind: Option<OptimizerKind>,
     shards: usize,
     wait_timeout: Duration,
     durable: bool,
@@ -153,7 +152,6 @@ impl ScenarioBuilder {
             fault_plan: None,
             hashed_rules: Vec::new(),
             optimizer: || Box::new(StaticOrder),
-            optimizer_kind: None,
             shards: 1,
             wait_timeout: Duration::from_secs(60),
             durable: false,
@@ -259,14 +257,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Declarative role-placement policy (see [`OptimizerKind`]); a kind
-    /// is buildable per run, so it composes with the determinism gate's
-    /// double execution. Takes precedence over [`ScenarioBuilder::optimizer`].
-    pub fn optimizer_kind(mut self, kind: OptimizerKind) -> ScenarioBuilder {
-        self.optimizer_kind = Some(kind);
-        self
-    }
-
     /// Number of broker event-loop shards (default 1 — the fully
     /// deterministic mode). Multi-shard scenarios are for soak /
     /// observability coverage: outcome assertions hold, but trace hashes
@@ -367,10 +357,7 @@ impl ScenarioBuilder {
             &broker,
             CoordinatorConfig {
                 topology: self.topology.clone(),
-                optimizer: match &self.optimizer_kind {
-                    Some(kind) => kind.build(),
-                    None => (self.optimizer)(),
-                },
+                optimizer: (self.optimizer)(),
                 round_timeout: self.round_timeout,
                 quorum: self.quorum,
                 grace: self.grace,
@@ -381,7 +368,6 @@ impl ScenarioBuilder {
                 terminal_linger: Duration::from_secs(86_400),
                 clock: clock.clone(),
                 dialer: dialer(),
-                ..CoordinatorConfig::default()
             },
         )
         .expect("start coordinator");

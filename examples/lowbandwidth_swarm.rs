@@ -16,21 +16,20 @@ use sdflmq::core::{simulate, MemoryAware, SimConfig, SimReport, Topology, Update
 const CLIENTS: usize = 40;
 const ROUNDS: u32 = 10;
 
-fn run(codec: UpdateCodec) -> SimReport {
-    simulate(
-        SimConfig::builder(
+fn run(update_codec: UpdateCodec) -> SimReport {
+    simulate(SimConfig {
+        rounds: ROUNDS,
+        optimizer: Box::new(MemoryAware),
+        bandwidth: 256.0 * 1024.0, // constrained edge uplinks
+        update_codec,
+        seed: 42,
+        ..SimConfig::fig8(
             CLIENTS,
             Topology::Hierarchical {
                 aggregator_ratio: 0.3,
             },
         )
-        .rounds(ROUNDS)
-        .optimizer(Box::new(MemoryAware))
-        .bandwidth(256.0 * 1024.0) // constrained edge uplinks
-        .update_codec(codec)
-        .seed(42)
-        .build(),
-    )
+    })
 }
 
 fn main() {

@@ -20,21 +20,20 @@ const ROUNDS: u32 = 10;
 const DROPOUT_PROB: f64 = 0.022;
 
 fn main() {
-    let report = simulate(
-        SimConfig::builder(
+    let report = simulate(SimConfig {
+        rounds: ROUNDS,
+        optimizer: Box::new(MemoryAware),
+        dropout_prob: DROPOUT_PROB,
+        straggler_fraction: 0.25,
+        straggler_multiplier: 3.0,
+        seed: 42,
+        ..SimConfig::fig8(
             CLIENTS,
             Topology::Hierarchical {
                 aggregator_ratio: 0.3,
             },
         )
-        .rounds(ROUNDS)
-        .optimizer(Box::new(MemoryAware))
-        .dropout_prob(DROPOUT_PROB)
-        .straggler_fraction(0.25)
-        .straggler_multiplier(3.0)
-        .seed(42)
-        .build(),
-    );
+    });
 
     println!("round  survivors  evicted  rearranged  round-span");
     for r in &report.rounds {

@@ -695,19 +695,18 @@ fn fifty_client_simulated_session_completes_under_twenty_percent_dropout() {
     // The acceptance scenario: 50 contributors, ~20% of them dying over
     // the run, every round still completing, with aggregator positions
     // re-delegated as their holders drop (virtual-time runtime).
-    let report = simulate(
-        SimConfig::builder(
+    let report = simulate(SimConfig {
+        rounds: 10,
+        optimizer: Box::new(MemoryAware),
+        dropout_prob: 0.022, // (1 - 0.022)^10 ≈ 0.80 survival
+        seed: 42,
+        ..SimConfig::fig8(
             50,
             Topology::Hierarchical {
                 aggregator_ratio: 0.3,
             },
         )
-        .rounds(10)
-        .optimizer(Box::new(MemoryAware))
-        .dropout_prob(0.022) // (1 - 0.022)^10 ≈ 0.80 survival
-        .seed(42)
-        .build(),
-    );
+    });
     assert_eq!(report.rounds.len(), 10, "all rounds completed, no abort");
     assert!(
         report.evicted >= 5 && report.evicted <= 16,
