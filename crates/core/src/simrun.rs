@@ -834,7 +834,7 @@ mod tests {
 
         let topk = run(UpdateCodec::TOP_K_DEFAULT);
         assert!(
-            topk.codec_compression > 10.0,
+            topk.codec_compression > 25.0,
             "topk compression {}",
             topk.codec_compression
         );

@@ -16,11 +16,12 @@
 //! 8 KiB of input are consumed, a trial whose output is not yet smaller
 //! than that input is abandoned and the input stored raw. Dense `f32`
 //! parameters (near-random mantissas) are never smaller, so they cost an
-//! 8 KiB probe instead of a full trial; sparse top-k frames and quantized
-//! or blocky bytes are already winning by then. The decision looks only
-//! at the bytes — no codec id, no workload — and inputs of at most 8 KiB
-//! (every control message) run the whole trial exactly as [`compress`]
-//! does. [`compress`] itself is always exhaustive.
+//! 8 KiB probe instead of a full trial, and so do sparse top-k frames,
+//! whose indices the codec already gap-codes; quantized or blocky bytes
+//! are already winning by then. The decision looks only at the bytes —
+//! no codec id, no workload — and inputs of at most 8 KiB (every control
+//! message) run the whole trial exactly as [`compress`] does.
+//! [`compress`] itself is always exhaustive.
 
 /// Sliding-window size (12-bit offsets).
 const WINDOW: usize = 4096;

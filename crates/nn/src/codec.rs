@@ -11,7 +11,8 @@
 //!   ~4x smaller, error ≤ half a quantization step per element;
 //! * **top-k** — sparse *delta* against a shared base vector (the last
 //!   applied global model): only the `k` largest-magnitude delta
-//!   coordinates ship, ~16x smaller at the default density.
+//!   coordinates ship — their values, then their indices as LEB128 gaps
+//!   (one byte each at the default density) — ~26x smaller.
 //!
 //! Lossy codecs compose with **error feedback**: the caller keeps a
 //! per-model residual vector, the codec folds it into the value it
@@ -37,9 +38,12 @@
 //! * the int8 min/max reduction is exactly associative for the values it
 //!   sees (non-NaN, with a rare serial re-scan when the extremum is ±0,
 //!   the one order-dependent case);
-//! * top-k selection uses per-chunk candidates merged under the same
-//!   strict total order as the serial sort, so the selected *set* — and
-//!   therefore the index-sorted payload — is the same.
+//! * top-k selection is a threshold select under the same strict total
+//!   order as the serial sort: per-chunk histograms of `|e|`'s top bits
+//!   (integer counts, merged in chunk order) name the bucket holding the
+//!   k-th key, and only keys at or above it are collected and selected, so
+//!   the selected *set* — and therefore the index-sorted payload — is the
+//!   same.
 //!
 //! The serial implementations survive verbatim in [`mod@reference`] as the
 //! differential-test oracle. Chaos traces hash bit-exact global models, so
@@ -64,7 +68,16 @@ pub const CODEC_TOPK: u8 = 3;
 const FP16_MAGIC: [u8; 3] = *b"SFH"; // "Sdflmq Flat Half"
 const INT8_MAGIC: [u8; 3] = *b"SFQ"; // "Sdflmq Flat Quantized"
 const TOPK_MAGIC: [u8; 3] = *b"SFS"; // "Sdflmq Flat Sparse"
-const CODEC_VERSION: u8 = 1;
+const FP16_VERSION: u8 = 1;
+const INT8_VERSION: u8 = 1;
+/// Version 2: values first, then LEB128 index gaps. Version 1 (interleaved
+/// `(u32 index, f32 value)` pairs) is refused.
+const TOPK_VERSION: u8 = 2;
+
+/// `|e|`'s bits shifted right by this many give its top-k histogram bucket:
+/// 11 bits (the sign is cleared), so [`TOPK_BUCKETS`] buckets.
+const TOPK_BUCKET_SHIFT: u32 = 20;
+const TOPK_BUCKETS: usize = 1 << (31 - TOPK_BUCKET_SHIFT);
 
 /// Default top-k density: coordinates kept per 1000 (3%).
 pub const DEFAULT_TOPK_PER_MILLE: u16 = 30;
@@ -84,9 +97,6 @@ const F16_MAX: f32 = 65504.0;
 /// wrapped in a `Mutex` so disjoint chunks can be handed to pool workers.
 type EncodeChunk<'a> = Mutex<(&'a [f32], &'a mut [f32], &'a mut [u8])>;
 
-/// One chunk of the compensated-delta pass: `((input, base), residual)`.
-type DeltaChunk<'a> = Mutex<((&'a [f32], &'a [f32]), &'a mut [f32])>;
-
 /// Largest element count a zero-base sparse frame may declare (64M
 /// parameters ≈ 256 MB decoded) — the header is attacker-controlled and,
 /// uniquely for the sparse format, not bounded by the payload length.
@@ -101,7 +111,9 @@ pub enum CodecError {
     WrongCodec,
     /// Unsupported encoding version.
     BadVersion(u8),
-    /// A sparse index is out of range or not strictly increasing.
+    /// The sparse index stream is malformed: an index out of range or not
+    /// strictly increasing, a gap that is not a valid `u32` varint, or
+    /// bytes after the last gap.
     BadIndex,
     /// A delta payload was decoded against a base of the wrong length.
     BaseMismatch,
@@ -256,7 +268,7 @@ impl UpdateCodec {
                 out.clear();
                 out.reserve(8 + x.len() * 2);
                 out.extend_from_slice(&FP16_MAGIC);
-                out.push(CODEC_VERSION);
+                out.push(FP16_VERSION);
                 out.extend_from_slice(&(x.len() as u32).to_le_bytes());
                 out.resize(8 + x.len() * 2, 0);
                 let body = &mut out[8..];
@@ -312,7 +324,7 @@ impl UpdateCodec {
                 out.clear();
                 out.reserve(16 + n);
                 out.extend_from_slice(&INT8_MAGIC);
-                out.push(CODEC_VERSION);
+                out.push(INT8_VERSION);
                 out.extend_from_slice(&(n as u32).to_le_bytes());
                 out.extend_from_slice(&lo.to_le_bytes());
                 out.extend_from_slice(&scale.to_le_bytes());
@@ -333,99 +345,68 @@ impl UpdateCodec {
             UpdateCodec::TopK { per_mille } => {
                 let n = x.len();
                 residual.resize(n, 0.0);
+                let chunks = parallel::chunk_count(n, PAR_CHUNK);
                 // Compensated delta, computed in place: after this pass
                 // `residual[i]` holds e[i] = x[i] − base[i] + r[i], what we
-                // *owe* the receiver. Element-local, so chunking is free.
-                match base {
-                    Some(b) => {
-                        debug_assert_eq!(b.len(), n);
-                        let tasks: Vec<DeltaChunk<'_>> = x
-                            .chunks(PAR_CHUNK)
-                            .zip(b.chunks(PAR_CHUNK))
-                            .zip(residual.chunks_mut(PAR_CHUNK))
-                            .map(Mutex::new)
-                            .collect();
-                        pool.run(tasks.len(), |i| {
-                            let mut t = tasks[i].lock().unwrap();
-                            let ((x, b), r) = &mut *t;
-                            for ((v, b), r) in x.iter().zip(b.iter()).zip(r.iter_mut()) {
-                                // Evaluation order pinned to the serial
-                                // reference — do not fold into `+=`.
-                                #[allow(clippy::assign_op_pattern)]
-                                {
+                // *owe* the receiver. Element-local, so chunking is free;
+                // each chunk also counts its |e| per histogram bucket.
+                let mut hist = vec![0u32; chunks * TOPK_BUCKETS];
+                {
+                    let tasks: Vec<Mutex<(&mut [f32], &mut [u32])>> = residual
+                        .chunks_mut(PAR_CHUNK)
+                        .zip(hist.chunks_mut(TOPK_BUCKETS))
+                        .map(Mutex::new)
+                        .collect();
+                    pool.run(chunks, |i| {
+                        let mut t = tasks[i].lock().unwrap();
+                        let (r, h) = &mut *t;
+                        let h: &mut [u32; TOPK_BUCKETS] = (*h).try_into().expect("bucket row");
+                        let rg = parallel::chunk_range(n, PAR_CHUNK, i);
+                        // Evaluation order pinned to the serial reference
+                        // — do not fold into `+=`.
+                        #[allow(clippy::assign_op_pattern)]
+                        match base {
+                            Some(b) => {
+                                debug_assert_eq!(b.len(), n);
+                                let xb = x[rg.clone()].iter().zip(&b[rg]);
+                                for ((v, b), r) in xb.zip(r.iter_mut()) {
                                     *r = v - b + *r;
                                 }
                             }
-                        });
-                    }
-                    None => {
-                        let tasks: Vec<Mutex<(&[f32], &mut [f32])>> = x
-                            .chunks(PAR_CHUNK)
-                            .zip(residual.chunks_mut(PAR_CHUNK))
-                            .map(Mutex::new)
-                            .collect();
-                        pool.run(tasks.len(), |i| {
-                            let mut t = tasks[i].lock().unwrap();
-                            let (x, r) = &mut *t;
-                            for (v, r) in x.iter().zip(r.iter_mut()) {
-                                // Evaluation order pinned to the serial
-                                // reference — do not fold into `+=`.
-                                #[allow(clippy::assign_op_pattern)]
-                                {
+                            None => {
+                                for (v, r) in x[rg].iter().zip(r.iter_mut()) {
                                     *r = v + *r;
                                 }
                             }
-                        });
-                    }
+                        }
+                        // A second loop over the chunk, still in cache: fused
+                        // into the one above, it stops that one vectorizing.
+                        for e in r.iter() {
+                            h[topk_bucket(*e)] += 1;
+                        }
+                    });
                 }
                 let k = top_k_count(n, per_mille);
-                let mut order: Vec<u32>;
-                if k < n {
-                    // Serial-equivalent selection: the global top-k set
-                    // intersected with any chunk has at most k elements,
-                    // each necessarily in that chunk's own top-k under the
-                    // same strict total order (|e| desc, index asc). So k
-                    // candidates per chunk always cover the true set, and
-                    // the global merge re-selects exactly it.
-                    let chunks = parallel::chunk_count(n, PAR_CHUNK);
-                    let cand: Vec<Mutex<Vec<u32>>> =
-                        (0..chunks).map(|_| Mutex::new(Vec::new())).collect();
-                    {
-                        let e = &residual[..];
-                        pool.run(chunks, |i| {
-                            let rg = parallel::chunk_range(n, PAR_CHUNK, i);
-                            let mut idx: Vec<u32> = (rg.start as u32..rg.end as u32).collect();
-                            if k < idx.len() {
-                                idx.select_nth_unstable_by(k, |&a, &b| topk_cmp(e, a, b));
-                                idx.truncate(k);
-                            }
-                            *cand[i].lock().unwrap() = idx;
-                        });
-                    }
-                    order = Vec::with_capacity(chunks * k);
-                    for c in &cand {
-                        order.append(&mut c.lock().unwrap());
-                    }
-                    let e = &residual[..];
-                    if k < order.len() {
-                        order.select_nth_unstable_by(k, |&a, &b| topk_cmp(e, a, b));
-                        order.truncate(k);
-                    }
+                let order: Vec<u32> = if k < n {
+                    topk_threshold_select(residual, &hist, k, pool)
                 } else {
-                    order = (0..n as u32).collect();
-                }
-                order.sort_unstable();
+                    (0..n as u32).collect()
+                };
                 out.clear();
-                out.reserve(12 + order.len() * 8);
+                out.reserve(12 + order.len() * 9);
                 out.extend_from_slice(&TOPK_MAGIC);
-                out.push(CODEC_VERSION);
+                out.push(TOPK_VERSION);
                 out.extend_from_slice(&(n as u32).to_le_bytes());
                 out.extend_from_slice(&(order.len() as u32).to_le_bytes());
-                for idx in &order {
-                    let i = *idx as usize;
-                    out.extend_from_slice(&idx.to_le_bytes());
+                for &idx in &order {
+                    let i = idx as usize;
                     out.extend_from_slice(&residual[i].to_le_bytes());
                     residual[i] = 0.0; // shipped exactly: nothing owed
+                }
+                let mut prev = 0;
+                for &idx in &order {
+                    put_varint(out, idx - prev);
+                    prev = idx;
                 }
             }
         }
@@ -457,7 +438,7 @@ impl UpdateCodec {
         match self {
             UpdateCodec::Dense => Ok(params::deserialize_into(bytes, out)?),
             UpdateCodec::Fp16 => {
-                let (count, body) = check_header(bytes, &FP16_MAGIC)?;
+                let (count, body) = check_header(bytes, &FP16_MAGIC, FP16_VERSION)?;
                 if body.len() < count * 2 {
                     return Err(CodecError::Truncated);
                 }
@@ -478,7 +459,7 @@ impl UpdateCodec {
                 Ok(())
             }
             UpdateCodec::Int8 => {
-                let (count, body) = check_header(bytes, &INT8_MAGIC)?;
+                let (count, body) = check_header(bytes, &INT8_MAGIC, INT8_VERSION)?;
                 if body.len() < 8 + count {
                     return Err(CodecError::Truncated);
                 }
@@ -502,9 +483,9 @@ impl UpdateCodec {
             }
             UpdateCodec::TopK { .. } => {
                 // Sparse payloads are small (k ≪ n) and sequential by
-                // construction (strictly increasing indices): no parallel
-                // pass is worth its dispatch here.
-                let (count, body) = check_header(bytes, &TOPK_MAGIC)?;
+                // construction (gap-coded indices): no parallel pass is
+                // worth its dispatch here.
+                let (count, body) = check_header(bytes, &TOPK_MAGIC, TOPK_VERSION)?;
                 if body.len() < 4 {
                     return Err(CodecError::Truncated);
                 }
@@ -512,10 +493,12 @@ impl UpdateCodec {
                 if nnz > count {
                     return Err(CodecError::BadIndex);
                 }
-                let pairs = &body[4..];
-                if pairs.len() < nnz * 8 {
+                // Bounded by the body before anything is sized by it: each
+                // entry takes 4 value bytes and at least 1 gap byte.
+                if nnz > (body.len() - 4) / 5 {
                     return Err(CodecError::Truncated);
                 }
+                let (values, gaps) = body[4..].split_at(nnz * 4);
                 out.clear();
                 match base {
                     Some(b) => {
@@ -535,21 +518,138 @@ impl UpdateCodec {
                         out.resize(count, 0.0);
                     }
                 }
-                let mut prev: Option<u32> = None;
-                for p in 0..nnz {
-                    let off = p * 8;
-                    let idx = u32::from_le_bytes(pairs[off..off + 4].try_into().expect("4 bytes"));
-                    let val =
-                        f32::from_le_bytes(pairs[off + 4..off + 8].try_into().expect("4 bytes"));
-                    if idx as usize >= count || prev.is_some_and(|p| idx <= p) {
+                let out = &mut out[..count];
+                // `idx` is the previous index, `next` the least the next
+                // one may be: the first gap may be 0, later ones may not.
+                let (mut pos, mut idx, mut next) = (0, 0usize, 0);
+                for val in values.chunks_exact(4) {
+                    let gap = match gaps.get(pos) {
+                        Some(&b) if b < 0x80 => {
+                            pos += 1;
+                            b as usize
+                        }
+                        _ => get_varint(gaps, &mut pos)? as usize,
+                    };
+                    idx = idx.saturating_add(gap);
+                    if idx < next || idx >= count {
                         return Err(CodecError::BadIndex);
                     }
-                    prev = Some(idx);
-                    out[idx as usize] += val;
+                    next = idx + 1;
+                    out[idx] += f32::from_le_bytes(val.try_into().expect("4 bytes"));
+                }
+                if pos != gaps.len() {
+                    return Err(CodecError::BadIndex);
                 }
                 Ok(())
             }
         }
+    }
+}
+
+/// The top-k selection key: `|e|`'s bits above the inverted index. Larger
+/// key = selected first, which is exactly the reference's strict order
+/// (largest |e| first by `total_cmp`, ties to the smaller index): `abs`
+/// clears the sign, and `total_cmp` on non-negative floats is bit order,
+/// with NaN payloads above ∞.
+#[inline]
+fn topk_key(e: f32, idx: u32) -> u64 {
+    ((e.abs().to_bits() as u64) << 32) | u64::from(!idx)
+}
+
+/// The histogram bucket of `|e|`: the top bits of its key.
+#[inline]
+fn topk_bucket(e: f32) -> usize {
+    ((e.to_bits() & 0x7fff_ffff) >> TOPK_BUCKET_SHIFT) as usize
+}
+
+/// Returns the indices, ascending, of the `k` largest keys of `e`, given
+/// each chunk's bucket counts of it in `hist` (`0 < k < e.len()`).
+///
+/// The chunk counts, summed, name the *boundary bucket*: the highest one
+/// at or above which at least `k` elements lie. Every key above it is
+/// selected and the k-th largest key is in it, so only keys at or above
+/// it are collected — chunk-parallel, into disjoint slots sized by the
+/// counts, so in index order. One `select_nth_unstable` over the boundary
+/// bucket's keys finds the k-th key, and the collected keys at or above it
+/// are the selection, still in index order: no sort needed. Integer counts
+/// and a strict key order make the result independent of the thread
+/// count. If every element ties, the boundary bucket holds all of them
+/// and this degrades to one full select.
+fn topk_threshold_select(e: &[f32], hist: &[u32], k: usize, pool: &WorkerPool) -> Vec<u32> {
+    let n = e.len();
+    let mut total = [0usize; TOPK_BUCKETS];
+    for row in hist.chunks(TOPK_BUCKETS) {
+        for (t, c) in total.iter_mut().zip(row) {
+            *t += *c as usize;
+        }
+    }
+    // `higher`: elements in buckets above `cut`, all of them selected.
+    let (mut cut, mut higher) = (TOPK_BUCKETS - 1, 0);
+    while higher + total[cut] < k {
+        higher += total[cut];
+        cut -= 1;
+    }
+    let mut keys = vec![0u64; higher + total[cut]];
+    let mut slots = Vec::with_capacity(hist.len() / TOPK_BUCKETS);
+    let mut rest = &mut keys[..];
+    for row in hist.chunks(TOPK_BUCKETS) {
+        let len: usize = row[cut..].iter().map(|c| *c as usize).sum();
+        let (slot, tail) = rest.split_at_mut(len);
+        slots.push(Mutex::new(slot));
+        rest = tail;
+    }
+    pool.run(slots.len(), |i| {
+        let mut slot = slots[i].lock().unwrap();
+        if slot.is_empty() {
+            return;
+        }
+        let rg = parallel::chunk_range(n, PAR_CHUNK, i);
+        let mut j = 0;
+        for (idx, v) in rg.clone().zip(&e[rg]) {
+            if topk_bucket(*v) >= cut {
+                slot[j] = topk_key(*v, idx as u32);
+                j += 1;
+            }
+        }
+    });
+    drop(slots);
+    let next = ((cut + 1) as u64) << (32 + TOPK_BUCKET_SHIFT);
+    let mut ties: Vec<u64> = keys.iter().copied().filter(|key| *key < next).collect();
+    let at = ties.len() - (k - higher);
+    let threshold = *ties.select_nth_unstable(at).1;
+    keys.iter()
+        .filter(|key| **key >= threshold)
+        .map(|key| !(*key as u32))
+        .collect()
+}
+
+/// Appends `v` as an LEB128 varint (1–5 bytes).
+#[inline]
+fn put_varint(out: &mut Vec<u8>, mut v: u32) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+/// Reads one LEB128 varint from `buf` at `*pos`, advancing it. More than
+/// five bytes, or a value above `u32::MAX`, is a bad index.
+#[inline]
+fn get_varint(buf: &[u8], pos: &mut usize) -> Result<u32, CodecError> {
+    let mut v = 0u32;
+    let mut shift = 0;
+    loop {
+        let b = *buf.get(*pos).ok_or(CodecError::Truncated)?;
+        *pos += 1;
+        if shift == 28 && b > 0x0f {
+            return Err(CodecError::BadIndex);
+        }
+        v |= u32::from(b & 0x7f) << shift;
+        if b < 0x80 {
+            return Ok(v);
+        }
+        shift += 7;
     }
 }
 
@@ -579,15 +679,6 @@ fn fp16_encode_chunk(x: &[f32], residual: &mut [f32], out: &mut [u8]) {
     }
 }
 
-/// The top-k selection order: largest |e| first, ties break on index.
-/// Strict and total, which is what makes per-chunk candidate selection
-/// merge back to exactly the serial selection.
-#[inline]
-fn topk_cmp(e: &[f32], a: u32, b: u32) -> std::cmp::Ordering {
-    let (ma, mb) = (e[a as usize].abs(), e[b as usize].abs());
-    mb.total_cmp(&ma).then(a.cmp(&b))
-}
-
 /// Reconstructs an int8 grid point in f64 — `q · scale` can overflow f32
 /// at extreme spreads even though the grid point itself is a finite f32.
 fn dequant_int8(lo: f32, scale: f32, q: u8) -> f64 {
@@ -602,16 +693,20 @@ pub fn top_k_count(n: usize, per_mille: u16) -> usize {
     ((n * per_mille as usize) / 1000).max(1).min(n)
 }
 
-/// Validates a lossy-codec header (magic, version, element count) and
-/// returns `(count, rest)`.
-fn check_header<'a>(bytes: &'a [u8], magic: &[u8; 3]) -> Result<(usize, &'a [u8]), CodecError> {
+/// Validates a lossy-codec header (magic, the `version` this build
+/// speaks, element count) and returns `(count, rest)`.
+fn check_header<'a>(
+    bytes: &'a [u8],
+    magic: &[u8; 3],
+    version: u8,
+) -> Result<(usize, &'a [u8]), CodecError> {
     if bytes.len() < 8 {
         return Err(CodecError::Truncated);
     }
     if &bytes[..3] != magic {
         return Err(CodecError::WrongCodec);
     }
-    if bytes[3] != CODEC_VERSION {
+    if bytes[3] != version {
         return Err(CodecError::BadVersion(bytes[3]));
     }
     let count = u32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]) as usize;
@@ -686,8 +781,9 @@ pub mod reference {
     //! — chaos trace hashes pin bit-exact global models.
 
     use super::{
-        check_header, dequant_int8, params, top_k_count, CodecError, UpdateCodec, CODEC_VERSION,
-        F16_MAX, FP16_MAGIC, INT8_MAGIC, MAX_SPARSE_ELEMS, TOPK_MAGIC,
+        check_header, dequant_int8, params, top_k_count, CodecError, UpdateCodec, F16_MAX,
+        FP16_MAGIC, FP16_VERSION, INT8_MAGIC, INT8_VERSION, MAX_SPARSE_ELEMS, TOPK_MAGIC,
+        TOPK_VERSION,
     };
 
     /// Serial [`UpdateCodec::encode`].
@@ -703,7 +799,7 @@ pub mod reference {
                 residual.resize(x.len(), 0.0);
                 let mut out = Vec::with_capacity(8 + x.len() * 2);
                 out.extend_from_slice(&FP16_MAGIC);
-                out.push(CODEC_VERSION);
+                out.push(FP16_VERSION);
                 out.extend_from_slice(&(x.len() as u32).to_le_bytes());
                 for (v, r) in x.iter().zip(residual.iter_mut()) {
                     let target = v + *r;
@@ -735,7 +831,7 @@ pub mod reference {
                 let scale = ((hi as f64 - lo as f64) / 255.0) as f32;
                 let mut out = Vec::with_capacity(16 + targets.len());
                 out.extend_from_slice(&INT8_MAGIC);
-                out.push(CODEC_VERSION);
+                out.push(INT8_VERSION);
                 out.extend_from_slice(&(targets.len() as u32).to_le_bytes());
                 out.extend_from_slice(&lo.to_le_bytes());
                 out.extend_from_slice(&scale.to_le_bytes());
@@ -779,16 +875,26 @@ pub mod reference {
                     order.truncate(k);
                 }
                 order.sort_unstable();
-                let mut out = Vec::with_capacity(12 + order.len() * 8);
+                let mut out = Vec::with_capacity(12 + order.len() * 9);
                 out.extend_from_slice(&TOPK_MAGIC);
-                out.push(CODEC_VERSION);
+                out.push(TOPK_VERSION);
                 out.extend_from_slice(&(x.len() as u32).to_le_bytes());
                 out.extend_from_slice(&(order.len() as u32).to_le_bytes());
                 for idx in &order {
-                    let i = *idx as usize;
-                    out.extend_from_slice(&idx.to_le_bytes());
-                    out.extend_from_slice(&e[i].to_le_bytes());
-                    e[i] = 0.0;
+                    out.extend_from_slice(&e[*idx as usize].to_le_bytes());
+                    e[*idx as usize] = 0.0;
+                }
+                for (p, idx) in order.iter().enumerate() {
+                    let mut gap = if p == 0 { *idx } else { idx - order[p - 1] };
+                    loop {
+                        let low = (gap & 0x7f) as u8;
+                        gap >>= 7;
+                        if gap == 0 {
+                            out.push(low);
+                            break;
+                        }
+                        out.push(low | 0x80);
+                    }
                 }
                 *residual = e;
                 out
@@ -811,7 +917,7 @@ pub mod reference {
         match codec {
             UpdateCodec::Dense => Ok(params::deserialize(bytes)?),
             UpdateCodec::Fp16 => {
-                let (count, body) = check_header(bytes, &FP16_MAGIC)?;
+                let (count, body) = check_header(bytes, &FP16_MAGIC, FP16_VERSION)?;
                 if body.len() < count * 2 {
                     return Err(CodecError::Truncated);
                 }
@@ -820,7 +926,7 @@ pub mod reference {
                     .collect())
             }
             UpdateCodec::Int8 => {
-                let (count, body) = check_header(bytes, &INT8_MAGIC)?;
+                let (count, body) = check_header(bytes, &INT8_MAGIC, INT8_VERSION)?;
                 if body.len() < 8 + count {
                     return Err(CodecError::Truncated);
                 }
@@ -832,7 +938,7 @@ pub mod reference {
                     .collect())
             }
             UpdateCodec::TopK { .. } => {
-                let (count, body) = check_header(bytes, &TOPK_MAGIC)?;
+                let (count, body) = check_header(bytes, &TOPK_MAGIC, TOPK_VERSION)?;
                 if body.len() < 4 {
                     return Err(CodecError::Truncated);
                 }
@@ -840,8 +946,8 @@ pub mod reference {
                 if nnz > count {
                     return Err(CodecError::BadIndex);
                 }
-                let pairs = &body[4..];
-                if pairs.len() < nnz * 8 {
+                // Every entry is 4 value bytes and at least 1 gap byte.
+                if body.len() - 4 < nnz * 5 {
                     return Err(CodecError::Truncated);
                 }
                 let mut out = match base {
@@ -858,17 +964,44 @@ pub mod reference {
                         vec![0.0f32; count]
                     }
                 };
-                let mut prev: Option<u32> = None;
+                let values = &body[4..4 + nnz * 4];
+                let gaps = &body[4 + nnz * 4..];
+                // Pass 1: the whole index stream, strictly increasing and
+                // in range, with nothing after it.
+                let mut indices: Vec<u64> = Vec::with_capacity(nnz);
+                let mut at = 0usize;
                 for p in 0..nnz {
-                    let off = p * 8;
-                    let idx = u32::from_le_bytes(pairs[off..off + 4].try_into().expect("4 bytes"));
-                    let val =
-                        f32::from_le_bytes(pairs[off + 4..off + 8].try_into().expect("4 bytes"));
-                    if idx as usize >= count || prev.is_some_and(|p| idx <= p) {
+                    let mut gap = 0u64;
+                    let mut len = 0;
+                    loop {
+                        let Some(&b) = gaps.get(at) else {
+                            return Err(CodecError::Truncated);
+                        };
+                        at += 1;
+                        gap |= u64::from(b & 0x7f) << (7 * len);
+                        len += 1;
+                        if b & 0x80 == 0 {
+                            break;
+                        }
+                        if len == 5 {
+                            return Err(CodecError::BadIndex); // a 6th byte
+                        }
+                    }
+                    if gap > u64::from(u32::MAX) || (p > 0 && gap == 0) {
                         return Err(CodecError::BadIndex);
                     }
-                    prev = Some(idx);
-                    out[idx as usize] += val;
+                    let idx = if p == 0 { gap } else { indices[p - 1] + gap };
+                    if idx >= count as u64 {
+                        return Err(CodecError::BadIndex);
+                    }
+                    indices.push(idx);
+                }
+                if at != gaps.len() {
+                    return Err(CodecError::BadIndex);
+                }
+                // Pass 2: apply the values.
+                for (idx, val) in indices.iter().zip(values.chunks_exact(4)) {
+                    out[*idx as usize] += f32::from_le_bytes(val.try_into().expect("4 bytes"));
                 }
                 Ok(out)
             }
@@ -1214,25 +1347,182 @@ mod tests {
         }
     }
 
+    /// A hand-built top-k v2 frame: header, `values`, then raw gap bytes.
+    fn sparse_frame(count: u32, nnz: u32, values: &[f32], gaps: &[u8]) -> Vec<u8> {
+        let mut frame = Vec::new();
+        frame.extend_from_slice(&TOPK_MAGIC);
+        frame.push(TOPK_VERSION);
+        frame.extend_from_slice(&count.to_le_bytes());
+        frame.extend_from_slice(&nnz.to_le_bytes());
+        for v in values {
+            frame.extend_from_slice(&v.to_le_bytes());
+        }
+        frame.extend_from_slice(gaps);
+        frame
+    }
+
+    /// Decodes with the parallel and the reference decoder, requires the
+    /// two to agree, and returns the parallel result.
+    fn decode_both(bytes: &[u8], base: Option<&[f32]>) -> Result<Vec<f32>, CodecError> {
+        let codec = UpdateCodec::TOP_K_DEFAULT;
+        let fast = codec.decode(bytes, base);
+        let slow = reference::decode(codec, bytes, base);
+        let bits = |r: &Result<Vec<f32>, CodecError>| {
+            r.clone()
+                .map(|v| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>())
+        };
+        assert_eq!(bits(&fast), bits(&slow), "parallel vs reference decode");
+        fast
+    }
+
     #[test]
     fn topk_zero_base_count_is_capped() {
         // A 16-byte frame must not be able to demand a 16 GiB allocation:
         // count is only trusted up to MAX_SPARSE_ELEMS when there is no
         // base vector to check it against.
+        let frame = sparse_frame(u32::MAX, 0, &[], &[]);
+        assert_eq!(frame.len(), 12);
+        assert_eq!(decode_both(&frame, None), Err(CodecError::BadIndex));
+        // With a base, the length check still governs.
+        assert_eq!(
+            decode_both(&frame, Some(&[0.0; 4])),
+            Err(CodecError::BaseMismatch)
+        );
+    }
+
+    #[test]
+    fn a_v1_sparse_frame_is_refused() {
+        // The version-1 layout: interleaved (u32 index, f32 value) pairs.
+        // Every peer runs the same build, so v1 is refused, not read.
         let mut frame = Vec::new();
         frame.extend_from_slice(&TOPK_MAGIC);
-        frame.push(CODEC_VERSION);
-        frame.extend_from_slice(&u32::MAX.to_le_bytes());
-        frame.extend_from_slice(&0u32.to_le_bytes());
-        assert!(matches!(
-            UpdateCodec::TOP_K_DEFAULT.decode(&frame, None),
-            Err(CodecError::BadIndex)
-        ));
-        // With a base, the length check still governs.
-        assert!(matches!(
-            UpdateCodec::TOP_K_DEFAULT.decode(&frame, Some(&[0.0; 4])),
-            Err(CodecError::BaseMismatch)
-        ));
+        frame.push(1);
+        frame.extend_from_slice(&4u32.to_le_bytes());
+        frame.extend_from_slice(&1u32.to_le_bytes());
+        frame.extend_from_slice(&2u32.to_le_bytes());
+        frame.extend_from_slice(&1.5f32.to_le_bytes());
+        assert_eq!(decode_both(&frame, None), Err(CodecError::BadVersion(1)));
+        assert_eq!(
+            decode_both(&frame, Some(&[0.0; 4])),
+            Err(CodecError::BadVersion(1))
+        );
+        // The same entry as a v2 frame decodes.
+        let v2 = sparse_frame(4, 1, &[1.5], &[2]);
+        assert_eq!(decode_both(&v2, None), Ok(vec![0.0, 0.0, 1.5, 0.0]));
+    }
+
+    #[test]
+    fn topk_v2_decoder_rejects_malformed_index_streams() {
+        let cases: Vec<(&str, Vec<u8>, CodecError)> = vec![
+            (
+                "6-byte varint",
+                sparse_frame(10, 1, &[1.0], &[0x80, 0x80, 0x80, 0x80, 0x80, 0x00]),
+                CodecError::BadIndex,
+            ),
+            (
+                // 2^32 + 1: truncated to 32 bits it would be index 1.
+                "gap overflowing u32",
+                sparse_frame(10, 1, &[1.0], &[0x81, 0x80, 0x80, 0x80, 0x10]),
+                CodecError::BadIndex,
+            ),
+            (
+                "zero gap after the first",
+                sparse_frame(10, 2, &[1.0, 2.0], &[3, 0]),
+                CodecError::BadIndex,
+            ),
+            (
+                "nnz one larger than the body holds",
+                sparse_frame(10, 2, &[1.0], &[3]),
+                CodecError::Truncated,
+            ),
+            (
+                "one trailing byte",
+                sparse_frame(10, 2, &[1.0, 2.0], &[3, 4, 0]),
+                CodecError::BadIndex,
+            ),
+            (
+                "index equal to n",
+                sparse_frame(10, 2, &[1.0, 2.0], &[3, 7]),
+                CodecError::BadIndex,
+            ),
+            (
+                "nnz above n",
+                sparse_frame(1, 2, &[1.0, 2.0], &[0, 1]),
+                CodecError::BadIndex,
+            ),
+            (
+                "gap stream ends mid-varint",
+                sparse_frame(1000, 2, &[1.0, 2.0], &[3, 0x80]),
+                CodecError::Truncated,
+            ),
+        ];
+        for (name, frame, err) in cases {
+            assert_eq!(decode_both(&frame, None), Err(err.clone()), "{name}");
+            let count = u32::from_le_bytes(frame[4..8].try_into().unwrap()) as usize;
+            let base = vec![0.5; count];
+            assert_eq!(decode_both(&frame, Some(&base)), Err(err), "{name} + base");
+        }
+        // Well-formed neighbours of those cases decode: gaps summing to the
+        // last index, and an over-long (but in-range) varint.
+        let ok = sparse_frame(10, 2, &[1.0, 2.0], &[3, 6]);
+        let dec = decode_both(&ok, None).unwrap();
+        assert_eq!((dec[3], dec[9]), (1.0, 2.0));
+        let mut gaps = vec![0x80, 0x80, 0x80, 0x80, 0x00]; // 0, over-long
+        gaps.extend_from_slice(&[0xff, 0x01]); // + 255
+        let wide = sparse_frame(300, 2, &[1.0, 2.0], &gaps);
+        let dec = decode_both(&wide, None).unwrap();
+        assert_eq!((dec[0], dec[255]), (1.0, 2.0));
+    }
+
+    /// Values drawn from four magnitudes (random signs), so the boundary
+    /// bucket of the threshold select is all ties, with ±0, ±∞ and NaNs
+    /// sprinkled in.
+    fn tied(n: usize, seed: u64) -> Vec<f32> {
+        let mut s = seed | 1;
+        (0..n)
+            .map(|_| {
+                s ^= s << 13;
+                s ^= s >> 7;
+                s ^= s << 17;
+                let mag = [0.25f32, 1.0, 3.0, 7.5][(s >> 60) as usize & 3];
+                let v = match (s >> 32) % 64 {
+                    0 => 0.0,
+                    1 => -0.0,
+                    2 => f32::INFINITY,
+                    3 => f32::NEG_INFINITY,
+                    4 => f32::NAN,
+                    5 => -f32::NAN,
+                    _ => mag,
+                };
+                if s & 1 == 0 {
+                    v
+                } else {
+                    -v
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn threshold_select_breaks_ties_like_the_reference() {
+        for n in [0usize, 1, PAR_CHUNK - 1, PAR_CHUNK + 1, 3 * PAR_CHUNK + 7] {
+            let sets = [
+                ramp(n),
+                tied(n, n as u64 + 1),
+                vec![-2.5f32; n],
+                (0..n)
+                    .map(|i| if i % 3 == 0 { f32::NAN } else { 0.0 })
+                    .collect(),
+            ];
+            let base: Vec<f32> = (0..n).map(|i| (i % 4) as f32).collect();
+            for x in &sets {
+                for per_mille in [1u16, 30, 500, 999, 1000] {
+                    let codec = UpdateCodec::TopK { per_mille };
+                    assert_parallel_matches_reference(codec, x, None);
+                    assert_parallel_matches_reference(codec, x, Some(&base));
+                }
+            }
+        }
     }
 
     #[test]
@@ -1313,9 +1603,10 @@ mod tests {
             codec.decode(&enc, Some(&[0.0; 4])),
             Err(CodecError::BaseMismatch)
         ));
-        // Out-of-range index.
+        // Out-of-range index: the first gap (one byte, after k = 8
+        // values) is the first index.
         let mut bad = enc.clone();
-        bad[12..16].copy_from_slice(&1000u32.to_le_bytes());
+        bad[12 + 8 * 4] = 100;
         assert!(matches!(
             codec.decode(&bad, None),
             Err(CodecError::BadIndex)
@@ -1361,6 +1652,6 @@ mod tests {
         let topk = UpdateCodec::TOP_K_DEFAULT.encode_stateless(&x, None).len() as f64;
         assert!(dense / fp16 > 1.9, "fp16 ~2x: {}", dense / fp16);
         assert!(dense / int8 > 3.9, "int8 ~4x: {}", dense / int8);
-        assert!(dense / topk > 10.0, "topk >10x: {}", dense / topk);
+        assert!(dense / topk > 25.0, "topk >25x: {}", dense / topk);
     }
 }

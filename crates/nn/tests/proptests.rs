@@ -132,7 +132,7 @@ proptest! {
 // never panic on arbitrary bytes.
 // ---------------------------------------------------------------------
 
-use sdflmq_nn::codec::{f16_to_f32, f32_to_f16, top_k_count, UpdateCodec};
+use sdflmq_nn::codec::{f16_to_f32, f32_to_f16, reference, top_k_count, UpdateCodec};
 
 fn finite_params(max_len: usize) -> impl Strategy<Value = Vec<f32>> {
     prop::collection::vec(-100.0f32..100.0, 1..max_len)
@@ -265,11 +265,80 @@ proptest! {
             UpdateCodec::Int8.encode_stateless(&params, None).len(),
             16 + n
         );
+        // Top-k v2: header, k f32 values, then the k sorted indices as
+        // LEB128 gaps (the first gap is the first index).
         let k = top_k_count(n, 30);
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by(|&a, &b| params[b].abs().total_cmp(&params[a].abs()).then(a.cmp(&b)));
+        order.truncate(k);
+        order.sort_unstable();
+        let varint_len = |g: usize| 1 + (g >= 1 << 7) as usize + (g >= 1 << 14) as usize;
+        let gap_bytes: usize = order
+            .iter()
+            .enumerate()
+            .map(|(p, &i)| varint_len(if p == 0 { i } else { i - order[p - 1] }))
+            .sum();
         prop_assert_eq!(
             UpdateCodec::TOP_K_DEFAULT.encode_stateless(&params, None).len(),
-            12 + k * 8
+            12 + 4 * k + gap_bytes
         );
+    }
+
+    /// Mutated top-k frames (a byte flipped, truncated, extended, or two
+    /// frames spliced) decode to an error or to exactly the declared
+    /// element count, never a panic, with or without a base — and the
+    /// parallel decoder agrees with the reference on every one.
+    #[test]
+    fn topk_decoder_survives_mutated_frames(
+        params in finite_params(300),
+        other in finite_params(300),
+        per_mille in 1u16..1000,
+        kind in 0u8..4,
+        at in any::<u32>(),
+        byte in any::<u8>(),
+        tail in prop::collection::vec(any::<u8>(), 1..12),
+    ) {
+        let codec = UpdateCodec::TopK { per_mille };
+        let a = codec.encode_stateless(&params, None);
+        let b = codec.encode_stateless(&other, None);
+        let cut = at as usize % (a.len() + 1);
+        let frame: Vec<u8> = match kind {
+            0 => {
+                let mut f = a.clone();
+                f[cut.min(a.len() - 1)] ^= byte.max(1);
+                f
+            }
+            1 => a[..cut].to_vec(),
+            2 => [&a[..], &tail[..]].concat(),
+            _ => [&a[..cut], &b[(byte as usize) % (b.len() + 1)..]].concat(),
+        };
+        let declared = frame
+            .get(4..8)
+            .map(|c| u32::from_le_bytes(c.try_into().unwrap()) as usize);
+        // Counts past 64k cost only memory here; the zero-base cap has
+        // its own test.
+        let small = declared.filter(|&c| c <= 1 << 16);
+        let declared_base = small.map(|c| vec![0.25f32; c]);
+        let own_base = vec![0.5f32; params.len()];
+        let mut bases: Vec<Option<&[f32]>> = vec![Some(&own_base)];
+        if let Some(b) = &declared_base {
+            bases.push(None);
+            bases.push(Some(b));
+        }
+        for base in bases {
+            let fast = codec.decode(&frame, base);
+            let slow = reference::decode(codec, &frame, base);
+            match (&fast, &slow) {
+                (Ok(f), Ok(s)) => {
+                    prop_assert_eq!(Some(f.len()), declared);
+                    for (x, y) in f.iter().zip(s) {
+                        prop_assert_eq!(x.to_bits(), y.to_bits());
+                    }
+                }
+                (Err(f), Err(s)) => prop_assert_eq!(f, s),
+                _ => prop_assert!(false, "fast {:?} vs reference {:?}", fast.is_ok(), slow.is_ok()),
+            }
+        }
     }
 
     /// No codec's decoder panics on arbitrary bytes, with or without a
@@ -299,7 +368,7 @@ proptest! {
 // "close enough" is not an option here.
 // ---------------------------------------------------------------------
 
-use sdflmq_nn::codec::{reference, PAR_CHUNK};
+use sdflmq_nn::codec::PAR_CHUNK;
 use sdflmq_nn::parallel::WorkerPool;
 
 /// Lengths that straddle the parallel chunk boundary (the adversarial

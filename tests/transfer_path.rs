@@ -6,7 +6,9 @@
 use bytes::Bytes;
 use sdflmq::core::messages::{Blob, UpdateMeta};
 use sdflmq::core::{SessionId, UpdateCodec, WireVersion};
+use sdflmq::mqttfc::batching::split;
 use sdflmq::mqttfc::compress::{compress, compress_auto, MODE_LZSS, MODE_RAW};
+use sdflmq::mqttfc::{BatchConfig, PushResult, Reassembler};
 
 /// The 784-128-64-10 MLP's parameter count.
 const MLP_PARAMS: usize = 109_386;
@@ -49,6 +51,20 @@ fn update_blob(codec: UpdateCodec, local: &[f32], base: &[f32]) -> Vec<u8> {
     .to_vec()
 }
 
+/// The MLP's global and a local one a cubed-uniform step away from it:
+/// most coordinates barely move, a few move a lot.
+fn global_and_local(rng: &mut Rng) -> (Vec<f32>, Vec<f32>) {
+    let global: Vec<f32> = (0..MLP_PARAMS).map(|_| 0.1 * rng.unit()).collect();
+    let local: Vec<f32> = global
+        .iter()
+        .map(|g| {
+            let u = rng.unit();
+            g + 0.005 * u * u * u
+        })
+        .collect();
+    (global, local)
+}
+
 /// The mode a trial run to the end chooses: LZSS exactly when its whole
 /// stream is smaller than the input.
 fn exhaustive_mode(input: &[u8]) -> u8 {
@@ -62,16 +78,7 @@ fn exhaustive_mode(input: &[u8]) -> u8 {
 #[test]
 fn the_early_stop_chooses_the_exhaustive_mode() {
     let mut rng = Rng(2);
-    // A global in [-0.1, 0.1) and a local one cubed-uniform step away:
-    // most coordinates barely move, a few move a lot.
-    let global: Vec<f32> = (0..MLP_PARAMS).map(|_| 0.1 * rng.unit()).collect();
-    let local: Vec<f32> = global
-        .iter()
-        .map(|g| {
-            let u = rng.unit();
-            g + 0.005 * u * u * u
-        })
-        .collect();
+    let (global, local) = global_and_local(&mut rng);
     let small: Vec<f32> = local[..64].to_vec();
     let blocky: Vec<u8> = (0..50_000)
         .flat_map(|i| (((i / 64) % 10) as f32 * 0.1).to_le_bytes())
@@ -96,9 +103,11 @@ fn the_early_stop_chooses_the_exhaustive_mode() {
             Some(MODE_RAW),
         ),
         (
+            // Gap-coded indices leave LZSS nothing to find: the exhaustive
+            // trial is RAW too.
             "top-k MLP blob",
             update_blob(UpdateCodec::TOP_K_DEFAULT, &local, &global),
-            Some(MODE_LZSS),
+            Some(MODE_RAW),
         ),
         (
             "int8 MLP blob",
@@ -137,4 +146,25 @@ fn the_early_stop_chooses_the_exhaustive_mode() {
             assert_eq!(auto[1..], input[..], "{name}: raw body");
         }
     }
+}
+
+#[test]
+fn a_default_topk_update_is_one_raw_chunk_and_arrives_uncopied() {
+    let (global, local) = global_and_local(&mut Rng(7));
+    let blob = update_blob(UpdateCodec::TOP_K_DEFAULT, &local, &global);
+    // ~3.3k values and ~3.3k one- or two-byte gaps: under a 64 KiB chunk.
+    assert!(blob.len() < 20_000, "top-k blob is {} B", blob.len());
+    let config = BatchConfig::default();
+    let frames = split(&blob, 1, &config);
+    assert_eq!(frames.len(), 1, "one chunk");
+    let mut reassembler = Reassembler::new(config);
+    let Ok(PushResult::Complete(payload)) = reassembler.push("dev000", frames[0].clone()) else {
+        panic!("a single chunk completes the transfer");
+    };
+    assert_eq!(payload[..], blob[..]);
+    assert_eq!(
+        reassembler.copied_bytes(),
+        0,
+        "a RAW single-chunk transfer is delivered as a slice of its frame"
+    );
 }
