@@ -1,10 +1,11 @@
 //! Requests no honest client sends must be refused, not crash the node.
 
 use sdflmq_core::{
-    ClientId, Coordinator, CoordinatorConfig, CoreError, ModelId, PreferredRole, SdflmqClient,
-    SdflmqClientConfig, SessionId,
+    ClientId, Coordinator, CoordinatorConfig, CoreError, ModelId, ParamServer, PreferredRole,
+    SdflmqClient, SdflmqClientConfig, SessionId, WaitOutcome,
 };
 use sdflmq_mqtt::Broker;
+use sdflmq_mqttfc::BatchConfig;
 use std::time::Duration;
 
 #[test]
@@ -37,4 +38,56 @@ fn an_unrepresentable_session_time_is_refused_and_the_coordinator_lives_on() {
     let err = create("forever", Duration::MAX).unwrap_err();
     assert!(matches!(err, CoreError::Refused(_)), "got {err:?}");
     create("an-hour", Duration::from_secs(3600)).unwrap();
+}
+
+#[test]
+fn a_refused_join_leaves_nothing_behind_and_can_be_retried() {
+    let broker = Broker::start_default();
+    let _coordinator = Coordinator::start(&broker, CoordinatorConfig::default()).unwrap();
+    let _ps = ParamServer::start(&broker, BatchConfig::default()).unwrap();
+    let connect = |id: &str| {
+        let id = ClientId::new(id).unwrap();
+        SdflmqClient::connect(&broker, id, SdflmqClientConfig::default()).unwrap()
+    };
+    let (creator, joiner) = (connect("c0"), connect("c1"));
+    let session = SessionId::new("s").unwrap();
+    let model = ModelId::new("mlp").unwrap();
+    // The session does not exist yet. The refused join used to leave its
+    // local handle behind, so the retry below failed "already joined
+    // locally".
+    let err = joiner
+        .join_fl_session(&session, &model, PreferredRole::Any, 10)
+        .unwrap_err();
+    assert!(matches!(err, CoreError::Refused(_)), "got {err:?}");
+    assert_eq!(joiner.wire_version(&session), None);
+    creator
+        .create_fl_session(
+            &session,
+            &model,
+            Duration::from_secs(60),
+            2,
+            2,
+            Duration::from_secs(30),
+            1,
+            PreferredRole::Any,
+            10,
+        )
+        .unwrap();
+    joiner
+        .join_fl_session(&session, &model, PreferredRole::Any, 10)
+        .unwrap();
+    let rounds: Vec<_> = [creator, joiner]
+        .into_iter()
+        .map(|client| {
+            let session = session.clone();
+            std::thread::spawn(move || {
+                client.set_model(&session, &[1.0; 8]).unwrap();
+                client.send_local(&session).unwrap();
+                client.wait_global_update(&session, Duration::from_secs(30))
+            })
+        })
+        .collect();
+    for round in rounds {
+        assert_eq!(round.join().unwrap().unwrap(), WaitOutcome::Completed);
+    }
 }

@@ -91,6 +91,7 @@ fn main() {
             // is irrelevant here — the interesting part is role movement.
             let local = vec![i as f32; PARAMS];
             let mut aggregator_rounds = 0u32;
+            let mut finished = 0u32;
             for _round in 1..=FL_ROUNDS {
                 client.set_model(&session, &local).unwrap();
                 client.send_local(&session).unwrap();
@@ -105,19 +106,25 @@ fn main() {
                     .wait_global_update(&session, Duration::from_secs(120))
                     .unwrap()
                 {
-                    WaitOutcome::Completed | WaitOutcome::Evicted => break,
-                    WaitOutcome::NextRound(_) => {}
+                    WaitOutcome::NextRound(_) => finished += 1,
+                    WaitOutcome::Completed => {
+                        finished += 1;
+                        break;
+                    }
+                    WaitOutcome::Evicted => break,
                 }
             }
-            (i, aggregator_rounds)
+            (i, aggregator_rounds, finished)
         }));
     }
 
     println!("device  aggregator-rounds (of {FL_ROUNDS})  machine");
-    let mut results: Vec<(usize, u32)> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+    let mut results: Vec<(usize, u32, u32)> =
+        handles.into_iter().map(|h| h.join().unwrap()).collect();
     results.sort();
     let mut total_agg_rounds = 0;
-    for (i, agg_rounds) in &results {
+    for (i, agg_rounds, finished) in &results {
+        assert_eq!(*finished, FL_ROUNDS, "edge_{i:02} stopped early");
         let machine = match i % 4 {
             0 => "large ",
             1 => "medium",
@@ -130,5 +137,6 @@ fn main() {
         "\naggregation duty was spread over the fleet by the memory-aware \
          load balancer ({total_agg_rounds} aggregator-rounds total)"
     );
+    assert!(total_agg_rounds > 0, "nobody aggregated");
     drop(coordinator);
 }

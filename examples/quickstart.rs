@@ -23,6 +23,8 @@ const FL_ROUNDS: u32 = 3;
 const CLIENTS: usize = 5;
 const SAMPLES_PER_CLIENT: usize = 400;
 const LOCAL_EPOCHS: usize = 3;
+/// The final global model must beat this test accuracy (it reaches ~76%).
+const ACCURACY_FLOOR: f64 = 0.70;
 
 fn main() {
     // Infrastructure: embedded broker, coordinator, parameter server.
@@ -152,4 +154,10 @@ fn main() {
         .unwrap();
     let acc = evaluate(&final_model, &test_x, &test.labels);
     println!("final global model accuracy: {:.2}%", acc * 100.0);
+    assert!(
+        acc >= ACCURACY_FLOOR,
+        "final accuracy {:.2}% is below the {:.0}% floor",
+        acc * 100.0,
+        ACCURACY_FLOOR * 100.0
+    );
 }
