@@ -247,8 +247,14 @@ fn qos() -> impl Strategy<Value = QoS> {
     ]
 }
 
+/// Mostly short payloads, with some from 200 B up to 70 KB so that frame
+/// checksums run both CRC paths.
 fn payload() -> impl Strategy<Value = Bytes> {
-    prop::collection::vec(any::<u8>(), 0..24).prop_map(Bytes::from)
+    prop_oneof![
+        8 => prop::collection::vec(any::<u8>(), 0..24).boxed(),
+        1 => prop::collection::vec(any::<u8>(), 200..70_000).boxed(),
+    ]
+    .prop_map(Bytes::from)
 }
 
 fn packet_id() -> impl Strategy<Value = u16> {
@@ -410,6 +416,80 @@ proptest! {
         for (i, (_, rec)) in decoded.iter().enumerate() {
             prop_assert_eq!(rec, &records[i]);
         }
+    }
+}
+
+/// The WAL byte format is pinned: a fixed record list, one of them a
+/// 64 KiB retained publish, encodes to the stream recorded when frame
+/// checksums were computed by the slicing-by-8 tables alone, and decodes
+/// back to the same records. A WAL written then still recovers.
+#[test]
+fn wal_frames_are_pinned_byte_for_byte() {
+    let topic = |t: &str| TopicName::new(t).unwrap();
+    let filler = |len: usize, salt: u32| -> Bytes {
+        (0..len as u32)
+            .map(|i| (i.wrapping_add(salt).wrapping_mul(2_654_435_761) >> 24) as u8)
+            .collect::<Vec<u8>>()
+            .into()
+    };
+    let records = vec![
+        WalRecord::Watermark { seq: 41 },
+        WalRecord::SessionCreate {
+            client: "edge-7".to_owned(),
+        },
+        WalRecord::Subscribe {
+            client: "edge-7".to_owned(),
+            filter: TopicFilter::new("sdfl/+/global").unwrap(),
+            qos: QoS::AtLeastOnce,
+        },
+        WalRecord::Enqueue {
+            client: "edge-7".to_owned(),
+            topic: topic("sdfl/s1/global"),
+            qos: QoS::AtLeastOnce,
+            payload: filler(300, 1),
+        },
+        WalRecord::InflightInsert {
+            client: "edge-7".to_owned(),
+            id: 9,
+            topic: topic("sdfl/s1/agg"),
+            qos: QoS::ExactlyOnce,
+            retain: false,
+            released: true,
+            payload: filler(17, 2),
+        },
+        WalRecord::WillSet {
+            client: "edge-7".to_owned(),
+            will: LastWill {
+                topic: topic("sdfl/s1/gone"),
+                payload: filler(100, 3),
+                qos: QoS::AtMostOnce,
+                retain: true,
+            },
+        },
+        WalRecord::RetainedSet {
+            topic: topic("sdfl/s1/model"),
+            qos: QoS::AtLeastOnce,
+            payload: filler(64 * 1024, 4),
+        },
+        WalRecord::RetainedSet {
+            topic: topic("sdfl/s1/status"),
+            qos: QoS::AtMostOnce,
+            payload: Bytes::new(),
+        },
+        WalRecord::SessionDestroy {
+            client: "edge-7".to_owned(),
+        },
+    ];
+    let (buf, _) = encode_stream(&records);
+    assert_eq!(
+        (buf.len(), sdflmq_mqtt::fnv1a64(&buf)),
+        (66_281, 0x3b67_fcc2_63b1_85c8),
+        "WAL stream bytes moved"
+    );
+    let decoded = wal::decode_frames(&buf);
+    assert_eq!(decoded.len(), records.len());
+    for (i, (seq, rec)) in decoded.into_iter().enumerate() {
+        assert_eq!((seq, rec), (i as u64 + 1, records[i].clone()));
     }
 }
 

@@ -128,28 +128,56 @@ proptest! {
     }
 
     /// Chunk frames survive encode/decode; corrupted frames are rejected,
-    /// never mis-decoded silently (CRC property).
+    /// never mis-decoded silently (CRC property). The flip may land on any
+    /// bit of the frame (id, seq, total, payload CRC, length, data or
+    /// trailer), and data runs from one byte to past a full 64 KiB chunk,
+    /// so both CRC paths are exercised.
     #[test]
     fn chunk_crc_catches_single_bitflips(
-        data in prop::collection::vec(any::<u8>(), 1..256),
-        flip_bit in 0usize..64,
+        data in chunk_data(),
+        flip_bit in any::<u32>(),
     ) {
-        let chunk = Chunk {
-            transfer_id: 7,
-            seq: 0,
-            total: 1,
-            payload_crc: 0xABCD_EF01,
-            data: Bytes::from(data),
-        };
-        let encoded = chunk.encode();
+        let (chunk, encoded) = encoded_chunk(data);
         prop_assert_eq!(Chunk::decode(encoded.clone()).unwrap(), chunk);
         let mut corrupted = encoded.to_vec();
-        let bit = flip_bit % (corrupted.len() * 8);
+        let bit = flip_bit as usize % (corrupted.len() * 8);
         corrupted[bit / 8] ^= 1 << (bit % 8);
-        // Either an error, or (if the flip hit the CRC of a zero-length
-        // region...) still never equal to a *different* valid chunk with
-        // matching CRC — single bit flips are always caught by CRC32.
-        prop_assert!(Chunk::decode(Bytes::from(corrupted)).is_err());
+        prop_assert!(Chunk::decode(Bytes::from(corrupted)).is_err(), "flip of bit {} passed", bit);
+    }
+
+    /// Any burst of 2–32 bits inside the checksummed bytes (header and
+    /// data), or inside the stored CRC, is caught: CRC-32 detects every
+    /// error burst no longer than its degree. Bit `i` of the frame is bit
+    /// `i % 8` of byte `i / 8`, the order the reflected CRC reads them in.
+    #[test]
+    fn chunk_crc_catches_bursts_of_up_to_32_bits(
+        data in chunk_data(),
+        burst_len in 2usize..=32,
+        inner in any::<u32>(),
+        at in any::<u32>(),
+    ) {
+        let (_, encoded) = encoded_chunk(data);
+        let mut corrupted = encoded.to_vec();
+        let covered = (corrupted.len() - 4) * 8;
+        // The burst starts anywhere and is moved back, if need be, so it
+        // stays within one side of the checksummed/trailer boundary.
+        let mut start = at as usize % (corrupted.len() * 8 - burst_len + 1);
+        if start < covered && start + burst_len > covered {
+            start = covered - burst_len;
+        }
+        // First and last bit set; the ones between are arbitrary.
+        let middle = (u64::from(inner) << 1) & ((1 << (burst_len - 1)) - 1);
+        let pattern = 1 | (1 << (burst_len - 1)) | middle;
+        for i in 0..burst_len {
+            if pattern >> i & 1 != 0 {
+                let bit = start + i;
+                corrupted[bit / 8] ^= 1 << (bit % 8);
+            }
+        }
+        prop_assert!(
+            Chunk::decode(Bytes::from(corrupted)).is_err(),
+            "{}-bit burst {:#x} at bit {} passed", burst_len, pattern, start
+        );
     }
 
     /// RFC envelopes round-trip arbitrary contents.
@@ -214,4 +242,26 @@ proptest! {
     fn json_parse_never_panics(text in "[ -~]{0,128}") {
         let _ = Json::parse(&text);
     }
+}
+
+/// Chunk data from one byte to past a full 64 KiB chunk, half of it
+/// under 256 B.
+fn chunk_data() -> impl Strategy<Value = Vec<u8>> {
+    prop_oneof![
+        prop::collection::vec(any::<u8>(), 1..256),
+        prop::collection::vec(any::<u8>(), 256..70_001),
+    ]
+}
+
+/// A one-chunk transfer carrying `data`, and its encoded frame.
+fn encoded_chunk(data: Vec<u8>) -> (Chunk, Bytes) {
+    let chunk = Chunk {
+        transfer_id: 7,
+        seq: 0,
+        total: 1,
+        payload_crc: 0xABCD_EF01,
+        data: Bytes::from(data),
+    };
+    let encoded = chunk.encode();
+    (chunk, encoded)
 }

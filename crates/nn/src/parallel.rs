@@ -154,8 +154,9 @@ impl WorkerPool {
             return;
         }
         // Erase the closure borrow's lifetime so it can sit in the shared
-        // job slot. Sound because this function only returns (or panics)
-        // after `finished == tasks`, at which point the task counter is
+        // job slot.
+        // SAFETY: this function only returns (or panics) after
+        // `finished == tasks`, at which point the task counter is
         // exhausted and no worker will dereference `f` again.
         let f: &'static (dyn Fn(usize) + Sync) = unsafe { std::mem::transmute(f) };
         let ctl = Arc::new(JobCtl {
