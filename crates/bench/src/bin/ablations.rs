@@ -7,7 +7,7 @@
 //!
 //! * `ratio`     — aggregator-ratio sweep at 20 clients (ABL-1)
 //! * `optimizer` — load-balancer policies under memory drift (ABL-2)
-//! * `payload`   — LZSS compression and chunk-size sweep (ABL-3)
+//! * `payload`   — chunk-size sweep, RAW vs an LZSS body (ABL-3)
 //! * `bridge`    — single broker vs bridged regions (ABL-4)
 //! * `robust`    — FedAvg vs median vs trimmed mean under label-flip
 //!   poisoning (ABL-5)
@@ -22,6 +22,7 @@ use sdflmq_core::{
 };
 use sdflmq_dataset::{Split, SynthDigits};
 use sdflmq_mqttfc::batching::{split, BatchConfig};
+use sdflmq_mqttfc::compress::compress_auto;
 use sdflmq_nn::{evaluate, train, Matrix, Mlp, MlpSpec, Sgd, TrainConfig};
 use sdflmq_sim::SystemSpec;
 use std::time::Duration as StdDuration;
@@ -96,18 +97,12 @@ fn payload_sweep() {
     );
     for chunk_size in [16 * 1024usize, 64 * 1024, 256 * 1024] {
         for compress in [false, true] {
-            let cfg = BatchConfig {
-                chunk_size,
-                compress,
-                stale_after: StdDuration::from_secs(60),
-            };
-            let frames = split(&payload, 1, &cfg);
-            let wire: usize = frames.iter().map(|f| f.len()).sum();
+            let (chunks, wire) = transfer(&payload, chunk_size, compress);
             println!(
                 "{:>10} {:>12} | {:>8} | {:>12} | {:>13.1}%",
                 chunk_size,
                 compress,
-                frames.len(),
+                chunks,
                 wire,
                 100.0 * wire as f64 / payload.len() as f64
             );
@@ -125,18 +120,30 @@ fn payload_sweep() {
         });
     let scale = (hi - lo).max(1e-12) / 255.0;
     let quantized: Vec<u8> = params.iter().map(|&v| ((v - lo) / scale) as u8).collect();
-    let cfg = BatchConfig {
-        chunk_size: 64 * 1024,
-        compress: true,
-        stale_after: StdDuration::from_secs(60),
-    };
-    let frames = split(&quantized, 2, &cfg);
-    let wire: usize = frames.iter().map(|f| f.len()).sum();
+    let (_, wire) = transfer(&quantized, 64 * 1024, true);
     println!(
         "8-bit quantized + LZSS: {} bytes on the wire ({:.1}% of the raw f32 payload)",
         wire,
         100.0 * wire as f64 / payload.len() as f64
     );
+}
+
+/// Chunk count and wire bytes of one transfer of `payload`: as `split`
+/// sends it (RAW), or with `compress` as a body of [`compress_auto`]
+/// output. `split` always frames `[MODE_RAW] ++ x`, so framing the
+/// `compress_auto` body minus its own tag yields frames of that body's
+/// exact length and chunk boundaries.
+fn transfer(payload: &[u8], chunk_size: usize, compress: bool) -> (usize, usize) {
+    let cfg = BatchConfig {
+        chunk_size,
+        stale_after: StdDuration::from_secs(60),
+    };
+    let frames = if compress {
+        split(&compress_auto(payload)[1..], 1, &cfg)
+    } else {
+        split(payload, 1, &cfg)
+    };
+    (frames.len(), frames.iter().map(|f| f.len()).sum())
 }
 
 fn bridge_sweep() {

@@ -13,6 +13,9 @@
 //! alongside (absolute numbers come from MNIST; ours from the documented
 //! synthetic substitute — the comparison is about the *shape*).
 //!
+//! It is also a smoke test of the real stack: the exit code is non-zero
+//! unless all 10 SDFL rounds report and the printed shape check holds.
+//!
 //! ```text
 //! cargo run --release -p sdflmq-bench --bin fig7
 //! ```
@@ -201,9 +204,16 @@ fn main() {
     }
     let last_off = offline.last().copied().unwrap_or(0.0);
     let last_sdfl = sdfl.last().copied().unwrap_or(0.0);
+    let shape_holds = last_sdfl >= last_off - 2.0;
     println!(
         "\nshape check: both converge (offline {last_off:.1}%, sdfl {last_sdfl:.1}%); \
-         sdfl final >= offline final - 2pp: {}",
-        last_sdfl >= last_off - 2.0
+         sdfl final >= offline final - 2pp: {shape_holds}"
     );
+    if sdfl.len() != ROUNDS as usize || !shape_holds {
+        eprintln!(
+            "fig7 failed: {} of {ROUNDS} SDFL rounds reported, shape check {shape_holds}",
+            sdfl.len()
+        );
+        std::process::exit(1);
+    }
 }

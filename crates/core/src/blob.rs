@@ -3,8 +3,8 @@
 //! Control messages ride MQTTFC functions, but model parameters flow over
 //! *positional role topics* (see [`crate::topics`]) where the set of
 //! receivers is determined by subscription, not by function registry. This
-//! channel reuses the MQTTFC batching layer (compress → split →
-//! CRC-checked chunks → reassemble) on arbitrary topics.
+//! channel reuses the MQTTFC batching layer (split → CRC-checked chunks →
+//! reassemble) on arbitrary topics.
 
 use crate::bufpool::BufferPool;
 use crate::error::Result;
@@ -85,10 +85,12 @@ impl BlobChannel {
         self.dropped.load(Ordering::Relaxed)
     }
 
-    /// Publishes a blob, splitting it into chunks as needed. `version` is
-    /// the metadata wire version (relays answer in the version the inbound
-    /// blob carried; participants use their role's stamped data-plane
-    /// version) and `update` declares the payload's codec.
+    /// Publishes a blob, splitting it into chunks as needed; every chunk
+    /// is in flight at once, behind one acknowledgement wait
+    /// ([`Client::publish_all`]). `version` is the metadata wire version
+    /// (relays answer in the version the inbound blob carried;
+    /// participants use their role's stamped data-plane version) and
+    /// `update` declares the payload's codec.
     pub fn publish_update(
         &self,
         topic: &TopicName,
@@ -96,17 +98,17 @@ impl BlobChannel {
         version: WireVersion,
         update: &UpdateMeta,
     ) -> Result<()> {
-        // Encode into a pooled buffer; after the frames (which carry
-        // their own copies of the body) are published nothing else holds
-        // the frame buffer, so lending it back lets the next publish
-        // reclaim the allocation.
+        // Encode into a pooled buffer; once the frames (which carry their
+        // own copies of the body) are published, or have failed to be,
+        // nothing else holds the frame buffer, so lending it back lets
+        // the next publish reclaim the allocation.
         let encoded = blob.encode_update_into(version, update, self.pool.take_bytes());
         let transfer_id = self.transfer_base ^ self.next_transfer.fetch_add(1, Ordering::Relaxed);
-        for frame in split(&encoded, transfer_id, &self.batch) {
-            self.client.publish(topic, frame, QOS, false)?;
-        }
+        let frames = split(&encoded, transfer_id, &self.batch);
+        let frames = frames.into_iter().map(|frame| (topic, frame));
+        let published = self.client.publish_all(frames, QOS, false);
         self.pool.lend(encoded);
-        Ok(())
+        Ok(published?)
     }
 
     /// Subscribes to `filter` (wildcards allowed), invoking `handler` for
@@ -295,13 +297,9 @@ mod tests {
     fn single_chunk_receive_copies_nothing() {
         let broker = Broker::start_default();
         let client = Client::connect(&broker, ClientOptions::new("rx0")).unwrap();
-        // Compression off and a payload below the chunk size: the blob
-        // body must arrive as a slice of the received frame.
-        let batch = BatchConfig {
-            compress: false,
-            ..BatchConfig::default()
-        };
-        let rx_chan = BlobChannel::new(client, "rx0", batch);
+        // A payload below the chunk size: the blob body must arrive as a
+        // slice of the received frame.
+        let rx_chan = BlobChannel::new(client, "rx0", BatchConfig::default());
         let (tx, rx) = bounded(1);
         rx_chan
             .subscribe(
@@ -312,11 +310,7 @@ mod tests {
             )
             .unwrap();
         let client = Client::connect(&broker, ClientOptions::new("tx0")).unwrap();
-        let batch = BatchConfig {
-            compress: false,
-            ..BatchConfig::default()
-        };
-        let tx_chan = BlobChannel::new(client, "tx0", batch);
+        let tx_chan = BlobChannel::new(client, "tx0", BatchConfig::default());
         let sent = blob((0..10_000u32).map(|i| (i % 251) as u8).collect());
         publish(&tx_chan, &TopicName::new("params/zc").unwrap(), &sent).unwrap();
         let got = rx.recv_timeout(Duration::from_secs(5)).unwrap();
@@ -341,6 +335,20 @@ mod tests {
             "steady-state publishes must not allocate new frame buffers"
         );
         assert_eq!(reused, 5);
+    }
+
+    #[test]
+    fn a_failed_publish_still_returns_its_frame_buffer() {
+        let broker = Broker::start_default();
+        let tx_chan = channel(&broker, "txf");
+        tx_chan.client().disconnect().unwrap();
+        let topic = TopicName::new("params/fail").unwrap();
+        let sent = blob(vec![4u8; 20_000]);
+        for _ in 0..4 {
+            assert!(publish(&tx_chan, &topic, &sent).is_err());
+        }
+        // One allocation, then the failed publishes' buffers come back.
+        assert_eq!(tx_chan.buffer_pool().counters(), (1, 3));
     }
 
     #[test]

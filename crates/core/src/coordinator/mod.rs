@@ -355,7 +355,19 @@ impl Loop {
     /// does not acknowledge its role is carried anyway (the straggler
     /// machinery evicts it if it really is gone), and one unreachable
     /// client must not starve the rest of the fleet of its `round_start`.
+    /// Consecutive unacknowledged control messages (the evictions, the
+    /// broadcast) go out as one batch, in flight together behind one
+    /// acknowledgement wait; an acknowledged `set_role` or the retained
+    /// document first flushes what is batched, so the order holds.
     fn announce(&self, announce: &Announce) {
+        let mut batch: Vec<(String, Bytes)> = Vec::new();
+        let flush = |batch: &mut Vec<(String, Bytes)>| {
+            let calls = batch
+                .iter()
+                .map(|(function, frame)| (function.as_str(), frame.clone()));
+            let _ = self.fc.call_all(calls);
+            batch.clear();
+        };
         for send in announce.sends() {
             match send {
                 Outgoing::Ctrl {
@@ -367,15 +379,19 @@ impl Loop {
                     let function = functions::client_ctrl(client.as_str());
                     let session = announce.session.clone();
                     let frame = Envelope::new(version, ControlMsg::Ctrl { session, msg }).encode();
-                    let _ = if acked {
-                        self.fc
-                            .call_with_reply_timeout(&function, frame, self.role_ack_timeout)
-                            .map(drop)
+                    if acked {
+                        flush(&mut batch);
+                        let _ = self.fc.call_with_reply_timeout(
+                            &function,
+                            frame,
+                            self.role_ack_timeout,
+                        );
                     } else {
-                        self.fc.call(&function, frame)
-                    };
+                        batch.push((function, frame));
+                    }
                 }
                 Outgoing::Retain(doc) => {
+                    flush(&mut batch);
                     let topic = topology_topic(&announce.session);
                     let client = self.fc.client();
                     let _ = match doc {
@@ -387,5 +403,6 @@ impl Loop {
                 }
             }
         }
+        flush(&mut batch);
     }
 }

@@ -33,7 +33,7 @@ use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Handler invoked for each message matching a subscription filter.
 pub type MessageHandler = Arc<dyn Fn(&Publish) + Send + Sync>;
@@ -111,25 +111,58 @@ struct Inner {
 }
 
 impl Inner {
-    fn alloc_id(&self) -> PacketId {
+    /// A packet id no publish waiter holds, for a SUBSCRIBE, UNSUBSCRIBE
+    /// or a replayed subscription.
+    fn alloc_id(&self) -> Result<PacketId> {
         let mut next = self.next_id.lock();
-        let pending = self.pending_pub.lock();
-        for _ in 0..=u16::MAX {
-            let id = *next;
-            *next = next.wrapping_add(1);
-            if *next == 0 {
-                *next = 1;
-            }
-            if id != 0 && !pending.contains_key(&id) {
-                return id;
+        free_id(&mut next, &self.pending_pub.lock())
+    }
+
+    /// Registers one publish waiter per message, every one feeding `tx`,
+    /// and returns their ids in order. Allocation and registration share
+    /// one lock hold, so no two waiters can ever get the same id. When
+    /// the ids run out, the waiters registered so far are taken back.
+    fn register_publishes(&self, count: usize, tx: &Sender<Packet>) -> Result<Vec<PacketId>> {
+        let mut next = self.next_id.lock();
+        let mut pending = self.pending_pub.lock();
+        let mut ids = Vec::with_capacity(count);
+        for _ in 0..count {
+            match free_id(&mut next, &pending) {
+                Ok(id) => {
+                    pending.insert(id, Pending { tx: tx.clone() });
+                    ids.push(id);
+                }
+                Err(e) => {
+                    for id in &ids {
+                        pending.remove(id);
+                    }
+                    return Err(e);
+                }
             }
         }
-        1
+        Ok(ids)
     }
 
     fn send(&self, packet: &Packet) -> Result<()> {
         self.sender.read().send_packet(packet)
     }
+}
+
+/// Advances `next` past the first non-zero id no waiter in `pending`
+/// holds and returns it; [`MqttError::PacketIdsExhausted`] when all
+/// 65,535 are taken, rather than reusing one whose waiter is still live.
+fn free_id(next: &mut PacketId, pending: &HashMap<PacketId, Pending>) -> Result<PacketId> {
+    for _ in 0..=u16::MAX {
+        let id = *next;
+        *next = next.wrapping_add(1);
+        if *next == 0 {
+            *next = 1;
+        }
+        if id != 0 && !pending.contains_key(&id) {
+            return Ok(id);
+        }
+    }
+    Err(MqttError::PacketIdsExhausted)
 }
 
 /// A connected MQTT client. Clone-cheap (`Arc` inside).
@@ -321,7 +354,7 @@ impl Client {
                         .collect();
                     subs.sort_by(|a, b| a.0.as_str().cmp(b.0.as_str()));
                     for (filter, qos) in subs {
-                        let id = inner.alloc_id();
+                        let id = inner.alloc_id()?;
                         inner.send(&Packet::Subscribe(Subscribe {
                             packet_id: id,
                             filters: vec![(filter, qos)],
@@ -366,13 +399,12 @@ impl Client {
                 let _ = inner.send(&Packet::Pubcomp(id));
             }
             Packet::Puback(id) | Packet::Pubcomp(id) => {
+                // `try_send`: the reader never blocks on a waiter. A batch's
+                // channel holds every ack it can be owed, so only a far end
+                // that acks more than it was sent loses anything here.
                 let waiter = inner.pending_pub.lock().remove(&id);
                 if let Some(w) = waiter {
-                    let _ = w.tx.send(if matches!(packet, Packet::Puback(_)) {
-                        Packet::Puback(id)
-                    } else {
-                        Packet::Pubcomp(id)
-                    });
+                    let _ = w.tx.try_send(packet);
                 }
             }
             Packet::Pubrec(id) => {
@@ -380,7 +412,7 @@ impl Client {
                 // entry: PUBCOMP arrives later.
                 let guard = inner.pending_pub.lock();
                 if let Some(w) = guard.get(&id) {
-                    let _ = w.tx.send(Packet::Pubrec(id));
+                    let _ = w.tx.try_send(Packet::Pubrec(id));
                 }
                 drop(guard);
                 let _ = inner.send(&Packet::Pubrel(id));
@@ -413,8 +445,9 @@ impl Client {
         self.inner.connected.load(Ordering::Acquire)
     }
 
-    /// Publishes a message. Blocks until the QoS handshake completes
-    /// (QoS 0 returns immediately after the frame is sent).
+    /// Publishes one message: the one-message case of
+    /// [`Client::publish_all`]. Blocks until the QoS handshake completes
+    /// (QoS 0 returns once the frame is sent).
     pub fn publish(
         &self,
         topic: &TopicName,
@@ -422,47 +455,94 @@ impl Client {
         qos: QoS,
         retain: bool,
     ) -> Result<()> {
+        self.publish_all([(topic, payload)], qos, retain)
+    }
+
+    /// Publishes every message in order, all at `qos` and with the same
+    /// `retain` flag, and puts them in flight together: a waiter is
+    /// registered for each packet id, every frame is sent, and only then
+    /// are the acknowledgements collected, against one deadline of the
+    /// client's response timeout. Returns `Ok` once every message is
+    /// acknowledged — PUBACK at QoS 1, PUBCOMP after PUBREC at QoS 2 — or,
+    /// at QoS 0, once every frame is sent. An empty batch sends nothing.
+    ///
+    /// The frames leave on one link in the order given, so the broker
+    /// routes them in that order. On any failure — a send error, a
+    /// timeout, an unexpected ack, or [`MqttError::PacketIdsExhausted`] —
+    /// every waiter the batch registered is taken back, and messages after
+    /// a failed send are not sent. A batch holds at most one packet id per
+    /// message, so its size is the caller's to bound.
+    pub fn publish_all<'t, P: Into<Bytes>>(
+        &self,
+        messages: impl IntoIterator<Item = (&'t TopicName, P)>,
+        qos: QoS,
+        retain: bool,
+    ) -> Result<()> {
         self.ensure_connected()?;
-        match qos {
-            QoS::AtMostOnce => self.inner.send(&Packet::Publish(Publish {
+        let publish = |topic: &TopicName, payload: P, packet_id| {
+            Packet::Publish(Publish {
                 dup: false,
                 qos,
                 retain,
                 topic: topic.clone(),
-                packet_id: None,
+                packet_id,
                 payload: payload.into(),
-            })),
-            QoS::AtLeastOnce | QoS::ExactlyOnce => {
-                let id = self.inner.alloc_id();
-                let (tx, rx) = bounded(2);
-                self.inner.pending_pub.lock().insert(id, Pending { tx });
-                let publish = Packet::Publish(Publish {
-                    dup: false,
-                    qos,
-                    retain,
-                    topic: topic.clone(),
-                    packet_id: Some(id),
-                    payload: payload.into(),
-                });
-                let acked = self.inner.send(&publish).and_then(|()| {
-                    let first = self.await_ack(&rx)?;
-                    match (qos, first) {
-                        (QoS::AtLeastOnce, Packet::Puback(_)) => Ok(()),
-                        (QoS::ExactlyOnce, Packet::Pubrec(_)) => match self.await_ack(&rx)? {
-                            Packet::Pubcomp(_) => Ok(()),
-                            other => Err(unexpected(other)),
-                        },
-                        (_, other) => Err(unexpected(other)),
-                    }
-                });
-                // The reader drops the waiter on PUBACK/PUBCOMP; on every
-                // failure it is taken back here, or its id stays reserved.
-                if acked.is_err() {
-                    self.inner.pending_pub.lock().remove(&id);
-                }
-                acked
+            })
+        };
+        if qos == QoS::AtMostOnce {
+            return messages
+                .into_iter()
+                .try_for_each(|(topic, payload)| self.inner.send(&publish(topic, payload, None)));
+        }
+        let messages: Vec<_> = messages.into_iter().collect();
+        if messages.is_empty() {
+            return Ok(());
+        }
+        // Room for every ack the batch is owed (PUBREC and PUBCOMP at
+        // QoS 2), so the reader's `try_send` never finds it full.
+        let (tx, rx) = bounded(2 * messages.len());
+        let ids = self.inner.register_publishes(messages.len(), &tx)?;
+        drop(tx);
+        let acked = messages
+            .into_iter()
+            .zip(&ids)
+            .try_for_each(|((topic, payload), &id)| {
+                self.inner.send(&publish(topic, payload, Some(id)))
+            })
+            .and_then(|()| self.collect_acks(&rx, &ids, qos));
+        // The reader drops each waiter on its PUBACK/PUBCOMP; on every
+        // failure the rest are taken back here, or their ids stay
+        // reserved.
+        if acked.is_err() {
+            let mut pending = self.inner.pending_pub.lock();
+            for id in &ids {
+                pending.remove(id);
             }
         }
+        acked
+    }
+
+    /// Waits until every id in `ids` has completed its `qos` handshake,
+    /// all against one deadline.
+    fn collect_acks(&self, rx: &Receiver<Packet>, ids: &[PacketId], qos: QoS) -> Result<()> {
+        let deadline = Instant::now() + self.inner.response_timeout;
+        // Per id: has its PUBREC arrived (QoS 2 only)?
+        let mut owed: HashMap<PacketId, bool> = ids.iter().map(|&id| (id, false)).collect();
+        while !owed.is_empty() {
+            let wait = deadline.saturating_duration_since(Instant::now());
+            let ack = rx.recv_timeout(wait).map_err(|_| MqttError::Timeout)?;
+            match (qos, ack) {
+                (QoS::AtLeastOnce, Packet::Puback(id)) if owed.remove(&id).is_some() => {}
+                (QoS::ExactlyOnce, Packet::Pubrec(id)) if owed.get(&id) == Some(&false) => {
+                    owed.insert(id, true);
+                }
+                (QoS::ExactlyOnce, Packet::Pubcomp(id)) if owed.get(&id) == Some(&true) => {
+                    owed.remove(&id);
+                }
+                (_, other) => return Err(unexpected(other)),
+            }
+        }
+        Ok(())
     }
 
     /// Publishes to a topic given as a string (validated here).
@@ -480,7 +560,7 @@ impl Client {
     /// the default inbox. Returns the granted QoS.
     pub fn subscribe(&self, filter: &TopicFilter, qos: QoS) -> Result<QoS> {
         self.ensure_connected()?;
-        let id = self.inner.alloc_id();
+        let id = self.inner.alloc_id()?;
         let ack = self.await_sub_ack(
             id,
             &Packet::Subscribe(Subscribe {
@@ -531,7 +611,7 @@ impl Client {
         self.ensure_connected()?;
         self.inner.handlers.write().retain(|(f, _)| f != filter);
         self.inner.subs.lock().remove(filter);
-        let id = self.inner.alloc_id();
+        let id = self.inner.alloc_id()?;
         self.await_sub_ack(
             id,
             &Packet::Unsubscribe(Unsubscribe {
@@ -584,11 +664,6 @@ impl Client {
             self.inner.pending_sub.lock().remove(&id);
         }
         ack
-    }
-
-    fn await_ack(&self, rx: &Receiver<Packet>) -> Result<Packet> {
-        rx.recv_timeout(self.inner.response_timeout)
-            .map_err(|_| MqttError::Timeout)
     }
 }
 
@@ -668,6 +743,159 @@ mod tests {
             "publish waiters taken back"
         );
         drop(far_tx);
+
+        // A far end that acknowledges every PUBLISH of a batch but the
+        // third: the batch times out as a whole, and every waiter it
+        // registered is taken back, the four acknowledged ones included.
+        let (near, far) = crate::transport::link();
+        let (far_tx, far_rx) = far.split();
+        far_tx
+            .send_packet(&Packet::Connack(crate::packet::Connack {
+                session_present: false,
+                code: ConnectReturnCode::Accepted,
+            }))
+            .unwrap();
+        let answerer = std::thread::spawn(move || {
+            let mut seen = 0;
+            while let Ok(frame) = far_rx.recv_frame() {
+                if let Ok((Packet::Publish(p), _)) = codec::decode(&frame) {
+                    seen += 1;
+                    if seen != 3 {
+                        far_tx
+                            .send_packet(&Packet::Puback(p.packet_id.unwrap()))
+                            .ok();
+                    }
+                }
+            }
+            seen
+        });
+        let options = ClientOptions {
+            response_timeout: Duration::from_millis(200),
+            ..ClientOptions::new("short")
+        };
+        let client = Client::connect_link(near, options).unwrap();
+        let t = topic("t");
+        let sent = client.publish_all((0..5u8).map(|i| (&t, vec![i])), QoS::AtLeastOnce, false);
+        assert_eq!(sent, Err(MqttError::Timeout));
+        assert_eq!(
+            client.inner.pending_pub.lock().len(),
+            0,
+            "batch waiters taken back"
+        );
+        drop(client);
+        assert_eq!(answerer.join().unwrap(), 5, "every frame was sent");
+    }
+
+    /// A client on a bare link whose far end has accepted the connection
+    /// and read its CONNECT; the far end's halves are returned for the
+    /// test to drive.
+    fn bare_client(id: &str) -> (Client, crate::transport::FrameSender, FrameReceiver) {
+        let (near, far) = crate::transport::link();
+        let (far_tx, far_rx) = far.split();
+        far_tx
+            .send_packet(&Packet::Connack(crate::packet::Connack {
+                session_present: false,
+                code: ConnectReturnCode::Accepted,
+            }))
+            .unwrap();
+        let client = Client::connect_link(near, ClientOptions::new(id)).unwrap();
+        let connect = codec::decode(&far_rx.recv_frame().unwrap()).unwrap().0;
+        assert!(matches!(connect, Packet::Connect(_)));
+        (client, far_tx, far_rx)
+    }
+
+    #[test]
+    fn an_empty_batch_sends_nothing() {
+        let (client, _far_tx, far_rx) = bare_client("empty");
+        let none: [(&TopicName, Bytes); 0] = [];
+        for qos in [QoS::AtMostOnce, QoS::AtLeastOnce, QoS::ExactlyOnce] {
+            assert_eq!(client.publish_all(none.clone(), qos, false), Ok(()));
+        }
+        assert!(far_rx
+            .recv_frame_timeout(Duration::from_millis(50))
+            .is_err());
+        assert_eq!(client.inner.pending_pub.lock().len(), 0);
+    }
+
+    #[test]
+    fn a_qos2_batch_completes_only_after_every_pubcomp() {
+        let (client, far_tx, far_rx) = bare_client("twice");
+        let (release_tx, release_rx) = bounded::<()>(1);
+        // PUBREC every PUBLISH and PUBCOMP every PUBREL, but hold the
+        // last PUBCOMP until the test releases it.
+        let answerer = std::thread::spawn(move || {
+            let mut completed = 0;
+            while let Ok(frame) = far_rx.recv_frame() {
+                match codec::decode(&frame) {
+                    Ok((Packet::Publish(p), _)) => {
+                        far_tx
+                            .send_packet(&Packet::Pubrec(p.packet_id.unwrap()))
+                            .unwrap();
+                    }
+                    Ok((Packet::Pubrel(id), _)) => {
+                        completed += 1;
+                        if completed == 4 {
+                            release_rx.recv().unwrap();
+                        }
+                        far_tx.send_packet(&Packet::Pubcomp(id)).unwrap();
+                    }
+                    _ => {}
+                }
+            }
+        });
+        let (done_tx, done_rx) = bounded(1);
+        let publisher = client.clone();
+        let sender = std::thread::spawn(move || {
+            let t = topic("t");
+            let sent =
+                publisher.publish_all((0..4u8).map(|i| (&t, vec![i])), QoS::ExactlyOnce, false);
+            done_tx.send(sent).unwrap();
+        });
+        assert!(
+            done_rx.recv_timeout(Duration::from_millis(200)).is_err(),
+            "returned with a PUBCOMP outstanding"
+        );
+        release_tx.send(()).unwrap();
+        assert_eq!(
+            done_rx.recv_timeout(Duration::from_secs(5)).unwrap(),
+            Ok(())
+        );
+        sender.join().unwrap();
+        assert_eq!(client.inner.pending_pub.lock().len(), 0);
+        drop(client);
+        answerer.join().unwrap();
+    }
+
+    #[test]
+    fn exhausted_packet_ids_fail_the_publish_and_keep_every_waiter() {
+        let (client, _far_tx, far_rx) = bare_client("full");
+        let (tx, rx) = unbounded();
+        client
+            .inner
+            .pending_pub
+            .lock()
+            .extend((1..=u16::MAX).map(|id| (id, Pending { tx: tx.clone() })));
+        let t = topic("t");
+        let sent = client.publish(&t, b"x".as_slice(), QoS::AtLeastOnce, false);
+        assert_eq!(sent, Err(MqttError::PacketIdsExhausted));
+        // Three ids free up, but a batch needs five: it fails too, and
+        // takes back the three waiters it did register.
+        for id in [7, 300, 65_000] {
+            client.inner.pending_pub.lock().remove(&id);
+        }
+        let sent = client.publish_all((0..5u8).map(|i| (&t, vec![i])), QoS::AtLeastOnce, false);
+        assert_eq!(sent, Err(MqttError::PacketIdsExhausted));
+        assert!(far_rx
+            .recv_frame_timeout(Duration::from_millis(50))
+            .is_err());
+        // Every waiter left is one of the originals: each still feeds
+        // the channel it was registered with.
+        let pending = client.inner.pending_pub.lock();
+        assert_eq!(pending.len(), usize::from(u16::MAX) - 3);
+        for (&id, waiter) in pending.iter() {
+            waiter.tx.try_send(Packet::Puback(id)).unwrap();
+        }
+        assert_eq!(rx.len(), pending.len());
     }
 
     #[test]
@@ -769,6 +997,40 @@ mod tests {
         assert_eq!(got.qos, QoS::ExactlyOnce);
         // Exactly one copy.
         assert!(sub.recv_timeout(Duration::from_millis(200)).is_err());
+    }
+
+    #[test]
+    fn a_batch_crosses_shards_in_order_byte_for_byte() {
+        use crate::broker::{shard_of, BrokerConfig};
+        let broker = Broker::start(BrokerConfig {
+            name: "batch".into(),
+            shards: 2,
+            ..BrokerConfig::default()
+        });
+        let sub_id = (0..)
+            .map(|i| format!("sub{i}"))
+            .find(|id| shard_of(id, 2) != shard_of("pub", 2))
+            .unwrap();
+        let sub = Client::connect(&broker, ClientOptions::new(sub_id)).unwrap();
+        sub.subscribe(&filter("blob/#"), QoS::AtLeastOnce).unwrap();
+        let publ = Client::connect(&broker, ClientOptions::new("pub")).unwrap();
+        let payloads: Vec<Bytes> = (0..16u32)
+            .map(|i| (0..i * 997 + 1).map(|b| (b * 31 + i) as u8).collect())
+            .collect();
+        let t = topic("blob/x");
+        publ.publish_all(
+            payloads.iter().map(|p| (&t, p.clone())),
+            QoS::AtLeastOnce,
+            false,
+        )
+        .unwrap();
+        assert_eq!(publ.inner.pending_pub.lock().len(), 0);
+        for sent in &payloads {
+            let got = sub.recv_timeout(Duration::from_secs(5)).unwrap();
+            assert_eq!(got.qos, QoS::AtLeastOnce);
+            assert_eq!(&got.payload, sent);
+        }
+        assert!(broker.stats().cross_shard_hops >= 16);
     }
 
     #[test]

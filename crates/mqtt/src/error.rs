@@ -27,6 +27,8 @@ pub enum MqttError {
     Timeout,
     /// The broker's event queue is full or closed.
     BrokerUnavailable,
+    /// Every packet id (1..=65,535) belongs to an unacknowledged publish.
+    PacketIdsExhausted,
 }
 
 impl fmt::Display for MqttError {
@@ -43,6 +45,7 @@ impl fmt::Display for MqttError {
             MqttError::InvalidClientId(id) => write!(f, "invalid client id: {id:?}"),
             MqttError::Timeout => write!(f, "operation timed out"),
             MqttError::BrokerUnavailable => write!(f, "broker unavailable"),
+            MqttError::PacketIdsExhausted => write!(f, "every packet id is in flight"),
         }
     }
 }

@@ -1,4 +1,4 @@
-//! Payload batching: serialize → compress → split → reassemble.
+//! Payload batching: serialize → split → reassemble.
 //!
 //! MQTT brokers and constrained links dislike multi-megabyte publishes, so
 //! MQTTFC splits large payloads (e.g. a full set of MLP parameters) into
@@ -7,11 +7,12 @@
 //! serializes the payload and divides it into multiple batches before
 //! sending. The batches are encoded and batch ids are allocated to them").
 //!
-//! The "compress" step is a trial, not a promise: [`split`] keeps LZSS
-//! output only when it is smaller, and gives up after 8 KiB when it is not
-//! yet winning (see [`crate::compress`]), so dense `f32` updates go out
-//! raw for the price of a short probe. Raw bodies are framed straight
-//! from the caller's payload, with no staging copy.
+//! Senders store every body RAW: [`split`] frames it straight from the
+//! caller's payload, with no staging copy and no compression trial (LZSS
+//! never shrank an update blob any workload ships). Receivers still read
+//! the mode tag, so a transfer whose body is
+//! [`compress_auto`](crate::compress::compress_auto) output reassembles
+//! too.
 //!
 //! Each byte is checksummed once per side. The sender takes one CRC of
 //! each chunk's data and derives both that frame's CRC and the
@@ -26,7 +27,7 @@
 //! whole-payload CRC before releasing it, and evicts stale partial
 //! transfers after a configurable age so lost chunks cannot leak memory.
 
-use crate::compress::{decompress_auto, try_lzss, MODE_RAW};
+use crate::compress::{decompress_auto, MODE_RAW};
 use crate::wire::{crc32, encode_chunk, Chunk, WireError};
 use bytes::Bytes;
 use sdflmq_mqtt::crc32_combine;
@@ -38,11 +39,6 @@ use std::time::{Duration, Instant};
 pub struct BatchConfig {
     /// Maximum bytes of payload per chunk.
     pub chunk_size: usize,
-    /// Whether LZSS may be tried on the payload before splitting. This is
-    /// permission, not a promise: the payload is stored raw whenever LZSS
-    /// would not shrink it, and the trial stops after 8 KiB if it is not
-    /// yet winning.
-    pub compress: bool,
     /// Partial transfers older than this are evicted by
     /// [`Reassembler::evict_stale`].
     pub stale_after: Duration,
@@ -52,7 +48,6 @@ impl Default for BatchConfig {
     fn default() -> Self {
         BatchConfig {
             chunk_size: 64 * 1024,
-            compress: true,
             stale_after: Duration::from_secs(60),
         }
     }
@@ -60,25 +55,16 @@ impl Default for BatchConfig {
 
 /// Splits `payload` into encoded chunk frames ready to publish.
 ///
-/// The transfer body is `[mode tag] ++ stored payload`. With
-/// [`BatchConfig::compress`] the payload is offered to LZSS through the
-/// same decision [`compress_auto`](crate::compress::compress_auto) makes,
-/// and the body is its output. A payload LZSS does not shrink, or any
-/// payload with compression off, goes out raw: framed straight from
-/// `payload`, with the tag written into chunk 0.
-///
-/// Each chunk's data is checksummed once, and both the frame CRC and the
-/// whole-body `payload_crc` are derived from those sums. Receivers
-/// reverse all of it with [`Reassembler::push`].
+/// The transfer body is `[MODE_RAW] ++ payload`, framed straight from
+/// `payload` with the tag written into chunk 0. Each chunk's data is
+/// checksummed once, and both the frame CRC and the whole-body
+/// `payload_crc` are derived from those sums. Receivers reverse all of it
+/// with [`Reassembler::push`].
 pub fn split(payload: &[u8], transfer_id: u64, config: &BatchConfig) -> Vec<Bytes> {
-    let lzss = config.compress.then(|| try_lzss(payload)).flatten();
-    let (head, rest): (&[u8], &[u8]) = match &lzss {
-        Some(body) => (&[], body),
-        None => (&[MODE_RAW], payload),
-    };
+    let head: &[u8] = &[MODE_RAW];
     // Chunk `seq` covers body bytes [seq·chunk_size, (seq+1)·chunk_size);
-    // `parts` maps that range onto `head ++ rest`.
-    let body_len = head.len() + rest.len();
+    // `parts` maps that range onto `head ++ payload`.
+    let body_len = head.len() + payload.len();
     let chunk_size = config.chunk_size.max(1);
     let total = body_len.div_ceil(chunk_size).max(1) as u32;
     let parts = |seq: u32| -> [&[u8]; 2] {
@@ -87,7 +73,7 @@ pub fn split(payload: &[u8], transfer_id: u64, config: &BatchConfig) -> Vec<Byte
         let cut = |at: usize| at.saturating_sub(head.len());
         [
             &head[start.min(head.len())..end.min(head.len())],
-            &rest[cut(start)..cut(end)],
+            &payload[cut(start)..cut(end)],
         ]
     };
     let mut data_crcs = Vec::with_capacity(total as usize);
@@ -261,13 +247,35 @@ impl Reassembler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compress::{compress_auto, MODE_LZSS};
 
-    fn config(chunk_size: usize, compress: bool) -> BatchConfig {
+    fn config(chunk_size: usize) -> BatchConfig {
         BatchConfig {
             chunk_size,
-            compress,
             stale_after: Duration::from_secs(60),
         }
+    }
+
+    /// Frames `body` — mode tag included — as the chunks of one transfer,
+    /// the way a sender that stored another mode would have.
+    fn frames_of_body(body: &[u8], transfer_id: u64, chunk_size: usize) -> Vec<Bytes> {
+        let pieces: Vec<&[u8]> = body.chunks(chunk_size).collect();
+        let total = pieces.len() as u32;
+        let payload_crc = crc32(body);
+        pieces
+            .iter()
+            .zip(0..)
+            .map(|(data, seq)| {
+                Chunk {
+                    transfer_id,
+                    seq,
+                    total,
+                    payload_crc,
+                    data: Bytes::copy_from_slice(data),
+                }
+                .encode()
+            })
+            .collect()
     }
 
     fn roundtrip_with(payload: &[u8], cfg: &BatchConfig) {
@@ -293,23 +301,21 @@ mod tests {
 
     #[test]
     fn single_chunk_roundtrip() {
-        roundtrip_with(b"small", &config(1024, true));
-        roundtrip_with(b"small", &config(1024, false));
-        roundtrip_with(b"", &config(1024, true));
+        roundtrip_with(b"small", &config(1024));
+        roundtrip_with(b"", &config(1024));
     }
 
     #[test]
     fn multi_chunk_roundtrip() {
         let payload: Vec<u8> = (0..100_000u32).map(|i| (i % 251) as u8).collect();
-        roundtrip_with(&payload, &config(4096, false));
-        roundtrip_with(&payload, &config(4096, true));
-        roundtrip_with(&payload, &config(1, false)); // pathological chunk size
+        roundtrip_with(&payload, &config(4096));
+        roundtrip_with(&payload, &config(1)); // pathological chunk size
     }
 
     #[test]
     fn out_of_order_reassembly() {
         let payload: Vec<u8> = (0..50_000u32).map(|i| (i % 13) as u8).collect();
-        let cfg = config(1000, false);
+        let cfg = config(1000);
         let mut frames = split(&payload, 1, &cfg);
         frames.reverse();
         let mut r = Reassembler::new(cfg);
@@ -325,7 +331,7 @@ mod tests {
     #[test]
     fn duplicates_are_flagged_and_harmless() {
         let payload = vec![9u8; 10_000];
-        let cfg = config(1000, false);
+        let cfg = config(1000);
         let frames = split(&payload, 3, &cfg);
         let mut r = Reassembler::new(cfg);
         assert!(matches!(
@@ -354,7 +360,7 @@ mod tests {
             payload_crc: 0,
             data: Bytes::from_static(b"hello"),
         };
-        let mut r = Reassembler::new(config(1000, false));
+        let mut r = Reassembler::new(config(1000));
         assert_eq!(
             r.push("mallory", lone.encode()).unwrap(),
             PushResult::Incomplete {
@@ -370,7 +376,7 @@ mod tests {
     fn concurrent_transfers_do_not_mix() {
         let pa: Vec<u8> = vec![1; 5000];
         let pb: Vec<u8> = vec![2; 5000];
-        let cfg = config(512, false);
+        let cfg = config(512);
         let fa = split(&pa, 1, &cfg);
         let fb = split(&pb, 1, &cfg); // same transfer id, different sender
         let mut r = Reassembler::new(cfg);
@@ -391,7 +397,6 @@ mod tests {
     fn stale_partials_evicted() {
         let cfg = BatchConfig {
             chunk_size: 10,
-            compress: false,
             stale_after: Duration::from_millis(10),
         };
         let frames = split(&[0u8; 100], 5, &cfg);
@@ -406,7 +411,7 @@ mod tests {
 
     #[test]
     fn corrupted_chunk_rejected() {
-        let cfg = config(100, false);
+        let cfg = config(100);
         let frames = split(&[7u8; 1000], 9, &cfg);
         let mut bad = frames[0].to_vec();
         let last = bad.len() - 10;
@@ -418,7 +423,7 @@ mod tests {
     #[test]
     fn single_chunk_raw_transfer_is_zero_copy() {
         let payload: Vec<u8> = (0..1000u32).map(|i| (i % 7) as u8).collect();
-        let cfg = config(64 * 1024, false);
+        let cfg = config(64 * 1024);
         let frames = split(&payload, 11, &cfg);
         assert_eq!(frames.len(), 1);
         let frame = frames[0].clone();
@@ -442,25 +447,56 @@ mod tests {
     fn multi_chunk_and_compressed_transfers_count_copies() {
         let payload: Vec<u8> = (0..50_000u32).map(|i| (i % 251) as u8).collect();
         // Multi-chunk raw: concatenation copies the body once.
-        let cfg = config(4096, false);
+        let cfg = config(4096);
         let mut r = Reassembler::new(cfg.clone());
         for f in split(&payload, 1, &cfg) {
             let _ = r.push("s", f).unwrap();
         }
         // The whole body (payload + 1-byte mode tag) was concatenated.
         assert_eq!(r.copied_bytes(), payload.len() as u64 + 1);
-        // Compressed: decompression output is copied as well.
+        // LZSS-tagged: decompression output is copied as well.
         let blocky = vec![5u8; 50_000];
-        let cfg = config(64 * 1024, true);
-        let mut r = Reassembler::new(cfg.clone());
-        for f in split(&blocky, 2, &cfg) {
+        let body = compress_auto(&blocky);
+        assert_eq!(body[0], MODE_LZSS);
+        let mut r = Reassembler::new(config(64 * 1024));
+        for f in frames_of_body(&body, 2, 64 * 1024) {
             let _ = r.push("s", f).unwrap();
         }
         assert_eq!(r.copied_bytes(), blocky.len() as u64);
     }
 
-    /// Every frame `split` makes of a fixed corpus — both modes, empty to
-    /// 200 KB, chunk sizes from 7 bytes to 64 KiB — concatenated.
+    #[test]
+    fn an_lzss_tagged_transfer_still_reassembles() {
+        // `split` sends RAW only, but receivers keep reading the tag: a
+        // body of `compress_auto` output reassembles to the payload, in
+        // one chunk or many, in order or reversed.
+        let payload: Vec<u8> = (0..60_000u32).map(|i| ((i / 64) % 10) as u8).collect();
+        let body = compress_auto(&payload);
+        assert_eq!(body[0], MODE_LZSS);
+        for (chunk_size, reversed) in [(64 * 1024, false), (100, false), (100, true)] {
+            let mut frames = frames_of_body(&body, 3, chunk_size);
+            if reversed {
+                frames.reverse();
+            }
+            let mut r = Reassembler::new(config(chunk_size));
+            let mut out = None;
+            for f in frames {
+                if let PushResult::Complete(b) = r.push("old-sender", f).unwrap() {
+                    out = Some(b);
+                }
+            }
+            assert_eq!(&out.expect("transfer completes")[..], &payload[..]);
+        }
+        // The helper frames a RAW body exactly as `split` does.
+        let raw = [&[MODE_RAW][..], &payload].concat();
+        assert_eq!(
+            frames_of_body(&raw, 3, 4096),
+            split(&payload, 3, &config(4096))
+        );
+    }
+
+    /// Every frame `split` makes of a fixed corpus — empty to 200 KB,
+    /// chunk sizes from 7 bytes to 64 KiB — concatenated.
     fn golden_frames() -> Vec<u8> {
         let mut state = 0x9E37_79B9u32;
         let mut next = move || {
@@ -493,10 +529,8 @@ mod tests {
                 if chunk_size == 7 && payload.len() > 4096 {
                     continue;
                 }
-                for compress in [false, true] {
-                    for frame in split(payload, 77, &config(chunk_size, compress)) {
-                        all.extend_from_slice(&frame);
-                    }
+                for frame in split(payload, 77, &config(chunk_size)) {
+                    all.extend_from_slice(&frame);
                 }
             }
         }
@@ -505,32 +539,13 @@ mod tests {
 
     #[test]
     fn split_frames_are_pinned_byte_for_byte() {
-        // Pinned from the split that staged a whole `[tag] ++ body` buffer
-        // and checksummed it in full, then every frame in full: framing
-        // straight from the payload with combined CRCs moves no byte.
+        // Pinned by the split that still offered payloads to LZSS, over
+        // the corpus with compression off: dropping the trial moves no
+        // byte of a RAW frame.
         let all = golden_frames();
         assert_eq!(
             (all.len(), sdflmq_mqtt::fnv1a64(&all)),
-            (2_037_076, 0xb5e0_755a_d571_2166)
-        );
-    }
-
-    #[test]
-    fn compression_reduces_wire_bytes_for_model_params() {
-        // Simulated parameter payload: blocky float pattern.
-        let floats: Vec<f32> = (0..50_000).map(|i| ((i / 64) % 10) as f32 * 0.1).collect();
-        let payload: Vec<u8> = floats.iter().flat_map(|f| f.to_le_bytes()).collect();
-        let on: usize = split(&payload, 1, &config(64 * 1024, true))
-            .iter()
-            .map(|f| f.len())
-            .sum();
-        let off: usize = split(&payload, 1, &config(64 * 1024, false))
-            .iter()
-            .map(|f| f.len())
-            .sum();
-        assert!(
-            on < off / 2,
-            "compression should at least halve this payload: {on} vs {off}"
+            (1_305_552, 0xdead_318a_cabd_eefd)
         );
     }
 }

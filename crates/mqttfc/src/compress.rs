@@ -1,6 +1,5 @@
 //! LZSS compression — the repo's stand-in for the paper's zlib usage.
 //!
-//! SDFLMQ compresses large model-parameter payloads before MQTT transport.
 //! This module implements LZSS with a 4 KiB sliding window and hash-chain
 //! match finding (the same scheme zlib's deflate uses for its LZ77 stage,
 //! minus the entropy coder):
@@ -10,18 +9,26 @@
 //!   with 12-bit offset (1..=4096) and 4-bit length (3..=18);
 //! * a 4-byte header carries the uncompressed length.
 //!
+//! **Not on the send path.** [`crate::batching::split`] stores every body
+//! RAW: LZSS never shrank an update blob any workload ships (dense `f32`
+//! mantissas are near-random and top-k frames gap-code their indices), so
+//! the trial only cost time. The receive side still calls
+//! [`decompress_auto`] on any body whose mode tag is not RAW, which keeps
+//! the chunk format and its tag as they were. The encoder stays public
+//! for the callers that measure it: the benchmark's replay, the ABL-3
+//! table and the transfer-path tests.
+//!
 //! [`compress_auto`] prepends a 1-byte mode tag and falls back to storing
 //! the input verbatim when compression would not shrink it, so callers can
 //! always round-trip through [`decompress_auto`]. It decides early: once
 //! 8 KiB of input are consumed, a trial whose output is not yet smaller
 //! than that input is abandoned and the input stored raw. Dense `f32`
-//! parameters (near-random mantissas) are never smaller, so they cost an
-//! 8 KiB probe instead of a full trial, and so do sparse top-k frames,
-//! whose indices the codec already gap-codes; quantized or blocky bytes
+//! parameters are never smaller, so they cost an 8 KiB probe instead of a
+//! full trial, and so do sparse top-k frames; quantized or blocky bytes
 //! are already winning by then. The decision looks only at the bytes —
-//! no codec id, no workload — and inputs of at most 8 KiB (every control
-//! message) run the whole trial exactly as [`compress`] does.
-//! [`compress`] itself is always exhaustive.
+//! no codec id, no workload — and inputs of at most 8 KiB run the whole
+//! trial exactly as [`compress`] does. [`compress`] itself is always
+//! exhaustive.
 
 /// Sliding-window size (12-bit offsets).
 const WINDOW: usize = 4096;
@@ -270,26 +277,21 @@ pub fn decompress(input: &[u8]) -> Result<Vec<u8>, CompressError> {
 /// output is not yet smaller than the input consumed, and the payload is
 /// stored raw; inputs of at most 8 KiB always run the whole trial.
 pub fn compress_auto(input: &[u8]) -> Vec<u8> {
-    try_lzss(input).unwrap_or_else(|| {
-        let mut out = Vec::with_capacity(input.len() + 1);
-        out.push(MODE_RAW);
-        out.extend_from_slice(input);
-        out
-    })
+    let mut out = Vec::with_capacity(input.len() / 2 + 16);
+    out.push(MODE_LZSS);
+    if lzss_into(input, &mut out, PROBE) && out.len() - 1 < input.len() {
+        return out;
+    }
+    out.clear();
+    out.push(MODE_RAW);
+    out.extend_from_slice(input);
+    out
 }
 
 /// Input bytes after which [`compress_auto`] gives up on an LZSS trial
 /// that is not yet winning: dense `f32` bytes never turn around, so
 /// finishing the trial only produces output that is thrown away.
 const PROBE: usize = 8 * 1024;
-
-/// The [`compress_auto`] LZSS decision alone: `Some([MODE_LZSS] ++
-/// stream)` when LZSS wins, `None` when the input should be stored raw.
-pub(crate) fn try_lzss(input: &[u8]) -> Option<Vec<u8>> {
-    let mut out = Vec::with_capacity(input.len() / 2 + 16);
-    out.push(MODE_LZSS);
-    (lzss_into(input, &mut out, PROBE) && out.len() - 1 < input.len()).then_some(out)
-}
 
 /// Inverse of [`compress_auto`].
 pub fn decompress_auto(input: &[u8]) -> Result<Vec<u8>, CompressError> {

@@ -84,12 +84,18 @@ impl Shared {
         }
     }
 
-    fn send_envelope(&self, topic: &TopicName, msg: &RfcMessage) -> Result<()> {
-        let encoded = msg.encode();
-        let transfer_id = self.alloc_transfer_id();
-        for frame in split(&encoded, transfer_id, &BatchConfig::default()) {
-            self.client.publish(topic, frame, QOS, false)?;
-        }
+    /// Publishes every envelope's chunks, in order, as one batch: all in
+    /// flight at once behind one acknowledgement wait.
+    fn send_envelopes(&self, envelopes: &[(TopicName, RfcMessage)]) -> Result<()> {
+        let config = BatchConfig::default();
+        let frames: Vec<(&TopicName, Bytes)> = envelopes
+            .iter()
+            .flat_map(|(topic, msg)| {
+                let frames = split(&msg.encode(), self.alloc_transfer_id(), &config);
+                frames.into_iter().map(move |frame| (topic, frame))
+            })
+            .collect();
+        self.client.publish_all(frames, QOS, false)?;
         Ok(())
     }
 }
@@ -213,7 +219,7 @@ impl FleetController {
                             payload: Bytes::from(desc.into_bytes()),
                         },
                     };
-                    let _ = shared.send_envelope(&topic, &reply);
+                    let _ = shared.send_envelopes(&[(topic, reply)]);
                 }
             }),
         );
@@ -234,18 +240,37 @@ impl FleetController {
         Ok(())
     }
 
-    /// Fire-and-forget call: publishes the request and returns once the
-    /// chunks are acknowledged (QoS 1).
+    /// Fire-and-forget call: publishes the request and returns once its
+    /// chunks are acknowledged (QoS 1). The one-call case of
+    /// [`FleetController::call_all`].
     pub fn call(&self, function: &str, payload: impl Into<Bytes>) -> Result<()> {
-        let msg = RfcMessage {
-            call_id: self.shared.next_call.fetch_add(1, Ordering::Relaxed),
-            function: function.to_owned(),
-            sender: self.shared.node_id.clone(),
-            reply_to: None,
-            kind: RfcKind::Request,
-            payload: payload.into(),
-        };
-        self.shared.send_envelope(&function_topic(function), &msg)
+        self.call_all([(function, payload)])
+    }
+
+    /// Fire-and-forget calls of several functions: every request's chunks
+    /// go out in the order given, all in flight at once, and this returns
+    /// once every one is acknowledged (QoS 1) — one wait for the batch,
+    /// not one per call ([`Client::publish_all`]). On an error some
+    /// requests may have been delivered and others not.
+    pub fn call_all<'f, P: Into<Bytes>>(
+        &self,
+        calls: impl IntoIterator<Item = (&'f str, P)>,
+    ) -> Result<()> {
+        let envelopes: Vec<(TopicName, RfcMessage)> = calls
+            .into_iter()
+            .map(|(function, payload)| {
+                let msg = RfcMessage {
+                    call_id: self.shared.next_call.fetch_add(1, Ordering::Relaxed),
+                    function: function.to_owned(),
+                    sender: self.shared.node_id.clone(),
+                    reply_to: None,
+                    kind: RfcKind::Request,
+                    payload: payload.into(),
+                };
+                (function_topic(function), msg)
+            })
+            .collect();
+        self.shared.send_envelopes(&envelopes)
     }
 
     /// Calls a function and blocks for its reply (up to 30 s).
@@ -271,7 +296,10 @@ impl FleetController {
             kind: RfcKind::Request,
             payload: payload.into(),
         };
-        if let Err(e) = self.shared.send_envelope(&function_topic(function), &msg) {
+        if let Err(e) = self
+            .shared
+            .send_envelopes(&[(function_topic(function), msg)])
+        {
             self.shared.pending.lock().remove(&call_id);
             return Err(e);
         }
@@ -324,6 +352,40 @@ mod tests {
             rx.recv_timeout(Duration::from_secs(2)).unwrap(),
             Bytes::from_static(b"hello")
         );
+    }
+
+    #[test]
+    fn call_all_delivers_every_request_in_order() {
+        let broker = Broker::start_default();
+        let callee = controller(&broker, "callee");
+        let (tx, rx) = crossbeam::channel::unbounded();
+        for function in ["a", "b"] {
+            let tx = tx.clone();
+            callee
+                .expose(
+                    function,
+                    Arc::new(move |msg| {
+                        let _ = tx.send((msg.function.clone(), msg.payload.clone()));
+                        Ok(Bytes::new())
+                    }),
+                )
+                .unwrap();
+        }
+        let caller = controller(&broker, "caller");
+        // The middle request spans several chunks.
+        let big: Bytes = (0..200_000u32).map(|i| (i % 251) as u8).collect();
+        let calls = [
+            ("a", Bytes::from_static(b"1")),
+            ("b", big.clone()),
+            ("a", Bytes::from_static(b"3")),
+        ];
+        caller.call_all(calls.clone()).unwrap();
+        for (function, payload) in calls {
+            let got = rx.recv_timeout(Duration::from_secs(5)).unwrap();
+            assert_eq!(got, (function.to_owned(), payload));
+        }
+        caller.call_all([] as [(&str, Bytes); 0]).unwrap();
+        assert!(rx.recv_timeout(Duration::from_millis(100)).is_err());
     }
 
     #[test]

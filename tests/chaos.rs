@@ -179,7 +179,10 @@ fn chaos_multichunk_int8_is_thread_count_invariant() {
             .model_len(20_000)
             .data_plane_threads(threads)
             .run(|ctl| {
-                ctl.wait_for("round1-open", |c| c.round() == Some(1));
+                // Nothing holds this fleet back, so under load both rounds
+                // can finish between two polls: a session past round 1
+                // has opened it too.
+                ctl.wait_for("round1-open", |c| c.round().is_some() || c.is_terminal());
                 ctl.drive_to_completion(Duration::from_secs(10));
             })
     };

@@ -1,7 +1,9 @@
-//! The transfer path's early LZSS stop, held against the exhaustive trial
-//! on the update blobs a fleet really ships: the stop must choose the
-//! same storage mode (and so the same wire bytes) as running LZSS to the
-//! end, while dense blobs pay only for the probe.
+//! The update blobs a fleet really ships, on the transfer path and off
+//! it. `split` stores every body RAW; `compress_auto`'s early LZSS stop,
+//! no longer on the send path but still what the benchmark's replay and
+//! ABL-3 measure, is held against the exhaustive trial: it must choose
+//! the same storage mode as running LZSS to the end, while dense blobs
+//! pay only for the probe.
 
 use bytes::Bytes;
 use sdflmq::core::messages::{Blob, UpdateMeta};
