@@ -17,19 +17,9 @@ use sdflmq_mqttfc::batching::{split, BatchConfig, PushResult, Reassembler};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Per-delivery context passed to blob handlers: the metadata wire
-/// version the sender used (so relays can answer in kind) and the
-/// update-codec metadata from the blob header.
-#[derive(Debug, Clone, Copy)]
-pub struct BlobCtx {
-    /// Wire version of the blob's metadata header.
-    pub version: WireVersion,
-    /// How the parameter payload is encoded.
-    pub update: UpdateMeta,
-}
-
-/// Handler invoked with each fully reassembled blob.
-pub type BlobHandler = Arc<dyn Fn(Blob, BlobCtx) + Send + Sync>;
+/// Handler invoked with each fully reassembled blob and the update-codec
+/// metadata from its header.
+pub type BlobHandler = Arc<dyn Fn(Blob, UpdateMeta) + Send + Sync>;
 
 /// QoS of every blob publish and subscription.
 const QOS: QoS = QoS::AtLeastOnce;
@@ -87,22 +77,18 @@ impl BlobChannel {
 
     /// Publishes a blob, splitting it into chunks as needed; every chunk
     /// is in flight at once, behind one acknowledgement wait
-    /// ([`Client::publish_all`]). `version` is the metadata wire version
-    /// (relays answer in the version the inbound blob carried;
-    /// participants use their role's stamped data-plane version) and
-    /// `update` declares the payload's codec.
+    /// ([`Client::publish_all`]). `update` declares the payload's codec.
     pub fn publish_update(
         &self,
         topic: &TopicName,
         blob: &Blob,
-        version: WireVersion,
         update: &UpdateMeta,
     ) -> Result<()> {
         // Encode into a pooled buffer; once the frames (which carry their
         // own copies of the body) are published, or have failed to be,
         // nothing else holds the frame buffer, so lending it back lets
         // the next publish reclaim the allocation.
-        let encoded = blob.encode_update_into(version, update, self.pool.take_bytes());
+        let encoded = blob.encode_update_into(WireVersion::LATEST, update, self.pool.take_bytes());
         let transfer_id = self.transfer_base ^ self.next_transfer.fetch_add(1, Ordering::Relaxed);
         let frames = split(&encoded, transfer_id, &self.batch);
         let frames = frames.into_iter().map(|frame| (topic, frame));
@@ -142,7 +128,7 @@ impl BlobChannel {
                 };
                 match result {
                     Ok(PushResult::Complete(body)) => match Blob::decode_update(body) {
-                        Ok((blob, update, version)) => handler(blob, BlobCtx { version, update }),
+                        Ok((blob, update, _)) => handler(blob, update),
                         Err(_) => {
                             dropped.fetch_add(1, Ordering::Relaxed);
                         }
@@ -199,9 +185,9 @@ mod tests {
         BlobChannel::new(client, id, BatchConfig::default())
     }
 
-    /// Publishes with JSON v1 metadata and the dense codec's header.
+    /// Publishes with the dense codec's header.
     fn publish(chan: &BlobChannel, topic: &TopicName, blob: &Blob) -> Result<()> {
-        chan.publish_update(topic, blob, WireVersion::V1Json, &UpdateMeta::default())
+        chan.publish_update(topic, blob, &UpdateMeta::default())
     }
 
     fn blob(params: Vec<u8>) -> Blob {
@@ -249,14 +235,7 @@ mod tests {
             .unwrap();
         let tx_chan = channel(&broker, "tx2");
         let sent = blob(vec![9u8; 10_000]);
-        tx_chan
-            .publish_update(
-                &TopicName::new("params/bin").unwrap(),
-                &sent,
-                WireVersion::V2Binary,
-                &UpdateMeta::default(),
-            )
-            .unwrap();
+        publish(&tx_chan, &TopicName::new("params/bin").unwrap(), &sent).unwrap();
         let got = rx.recv_timeout(Duration::from_secs(5)).unwrap();
         assert_eq!(got, sent);
     }

@@ -14,7 +14,6 @@ use crate::ids::SessionId;
 use crate::messages::{CtrlMsg, UpdateMeta};
 use crate::roles::RoleSpec;
 use crate::topics::{global_topic, param_server_topic, position_topic, Position};
-use crate::wirecodec::WireVersion;
 use bytes::Bytes;
 use sdflmq_mqtt::TopicName;
 use sdflmq_nn::codec::UpdateCodec;
@@ -38,9 +37,6 @@ pub(crate) struct Publish {
     pub topic: TopicName,
     pub round: u32,
     pub weight: u64,
-    /// The session-wide floor the coordinator stamped into the role:
-    /// blobs travel client → client.
-    pub data_wire: WireVersion,
     pub codec: UpdateCodec,
     pub body: Body,
 }
@@ -60,8 +56,6 @@ pub(crate) enum Effect {
 /// Everything one input asks of the glue, in the order it must happen.
 pub(crate) struct Effects {
     pub session: SessionId,
-    /// The session's negotiated control-plane version, for the calls.
-    pub wire: WireVersion,
     pub list: Vec<Effect>,
 }
 
@@ -108,8 +102,6 @@ pub(crate) struct Session {
     global_round: u32,
     pub num_samples: u64,
     last_sent: Option<LastSent>,
-    /// Wire version negotiated with the coordinator at join time.
-    pub wire: WireVersion,
 }
 
 /// What one input needs besides its session.
@@ -166,7 +158,6 @@ impl NodeCore {
             global_round: 0,
             num_samples,
             last_sent: None,
-            wire: WireVersion::V1Json,
         };
         self.sessions.insert(session.clone(), state);
         Ok(())
@@ -183,7 +174,6 @@ impl NodeCore {
         }
         Effects {
             session: session.clone(),
-            wire: WireVersion::V1Json,
             list,
         }
     }
@@ -216,7 +206,6 @@ impl NodeCore {
         input(state, &mut turn)?;
         Ok(Effects {
             session: session.clone(),
-            wire: state.wire,
             list: turn.out,
         })
     }
@@ -358,7 +347,6 @@ impl NodeCore {
         state.global_round = round;
         Some(Effects {
             session: session.clone(),
-            wire: state.wire,
             list: vec![Effect::RoundDone(round)],
         })
     }
@@ -540,7 +528,6 @@ impl Session {
             topic,
             round,
             weight,
-            data_wire: WireVersion::from_u8(role.data_wire).unwrap_or(WireVersion::V1Json),
             codec,
             body,
         }));

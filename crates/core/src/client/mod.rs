@@ -35,7 +35,7 @@ mod tests;
 
 use self::core::{Body, Effect, Effects, NodeCore, Publish};
 use crate::aggregation::{AggregationMethod, FedAvg};
-use crate::blob::{BlobChannel, BlobCtx};
+use crate::blob::BlobChannel;
 use crate::bufpool::BufferPool;
 use crate::clock::{wait_slice, wall_clock, Clock};
 use crate::error::{CoreError, Result};
@@ -46,7 +46,7 @@ use crate::messages::{
 use crate::model_controller::ModelController;
 use crate::roles::{PreferredRole, RoleSpec};
 use crate::topics::{functions, global_topic};
-use crate::wirecodec::{ControlMsg, Envelope, MsgKind, WireVersion};
+use crate::wirecodec::{ControlMsg, MsgKind};
 use bytes::Bytes;
 use parking_lot::{Condvar, Mutex};
 use sdflmq_mqtt::client::Dialer;
@@ -244,9 +244,7 @@ impl SdflmqClient {
             fold_us: AtomicU64::new(0),
         });
 
-        // Control function: role arbiter + session lifecycle. Decoding
-        // sniffs the frame, so JSON v1 and binary v2 coordinators both
-        // work regardless of what this session negotiated.
+        // Control function: role arbiter + session lifecycle.
         let ctrl_inner = Arc::downgrade(&inner);
         fc.expose(
             &functions::client_ctrl(id.as_str()),
@@ -254,16 +252,16 @@ impl SdflmqClient {
                 let Some(inner) = ctrl_inner.upgrade() else {
                     return Err("client gone".into());
                 };
-                let envelope =
-                    Envelope::decode(MsgKind::Ctrl, &msg.payload).map_err(|e| e.to_string())?;
-                let ControlMsg::Ctrl { session, msg: ctrl } = envelope.msg else {
+                let decoded =
+                    ControlMsg::decode(MsgKind::Ctrl, &msg.payload).map_err(|e| e.to_string())?;
+                let ControlMsg::Ctrl { session, msg: ctrl } = decoded else {
                     return Err("expected a ctrl frame".into());
                 };
                 let effects = inner.folding(|core, workers| core.on_ctrl(&session, ctrl, workers));
                 inner.changed.notify_all();
                 let executed = effects.and_then(|effects| inner.execute(effects));
                 executed.map_err(|e| e.to_string())?;
-                Ok(Bytes::from_static(b"{\"status\":\"ok\"}"))
+                Ok(Bytes::new())
             }),
         )?;
 
@@ -300,17 +298,11 @@ impl SdflmqClient {
             waiting_time_secs: waiting_time.as_secs_f64(),
             fl_rounds,
             preferred_role,
-            proto: WireVersion::LATEST.as_u8(),
             codec: self.inner.update_codec.id(),
         };
-        // Session requests always go out as JSON v1 so any coordinator can
-        // read them; the `proto` field advertises what we support.
         self.inner
             .fc
-            .call_with_reply(
-                functions::NEW_SESSION,
-                Envelope::new(WireVersion::V1Json, ControlMsg::NewSession(req)).encode(),
-            )
+            .call_with_reply(functions::NEW_SESSION, ControlMsg::NewSession(req).encode())
             .map_err(map_remote)?;
         self.join_fl_session(session_id, model_name, preferred_role, num_samples)
     }
@@ -353,34 +345,13 @@ impl SdflmqClient {
             preferred_role,
             num_samples,
             stats,
-            proto: WireVersion::LATEST.as_u8(),
             codec: self.inner.update_codec.id(),
         };
-        let reply = self
-            .inner
+        self.inner
             .fc
-            .call_with_reply(
-                functions::JOIN_SESSION,
-                Envelope::new(WireVersion::V1Json, ControlMsg::Join(req)).encode(),
-            )
+            .call_with_reply(functions::JOIN_SESSION, ControlMsg::Join(req).encode())
             .map_err(map_remote)?;
-        // The coordinator answers with the highest mutually supported wire
-        // version; use it for this session's control and blob traffic. A
-        // legacy coordinator's reply has no proto field and leaves us on v1.
-        let negotiated = match Envelope::decode(MsgKind::Reply, &reply).map(|env| env.msg) {
-            Ok(ControlMsg::Reply(r)) => r.version(),
-            _ => WireVersion::V1Json,
-        };
-        if let Ok(session) = self.inner.core.lock().session(session_id) {
-            session.wire = negotiated;
-        }
         Ok(())
-    }
-
-    /// The control-plane wire version negotiated for a session (v1 before
-    /// the join reply arrives).
-    pub fn wire_version(&self, session_id: &SessionId) -> Option<WireVersion> {
-        Some(self.inner.core.lock().session(session_id).ok()?.wire)
     }
 
     /// Data-plane health counters: transfers dropped by the blob channel
@@ -502,11 +473,7 @@ impl Inner {
     /// Carries out a core decision in order, stopping at the first failed
     /// publish or subscription; coordinator calls are best-effort.
     fn execute(self: &Arc<Self>, effects: Effects) -> Result<()> {
-        let Effects {
-            session,
-            wire,
-            list,
-        } = effects;
+        let Effects { session, list } = effects;
         for effect in list {
             match effect {
                 Effect::Publish(publish) => self.publish(&session, publish)?,
@@ -516,7 +483,7 @@ impl Inner {
                         client_id: self.id.clone(),
                         round,
                     };
-                    self.call(functions::CONTRIB, wire, ControlMsg::Contrib(ping));
+                    self.call(functions::CONTRIB, ControlMsg::Contrib(ping));
                 }
                 Effect::RoundDone(round) => {
                     // Paper §III.E.4: readiness plus fresh system stats.
@@ -531,7 +498,7 @@ impl Inner {
                         round,
                         stats,
                     };
-                    self.call(functions::ROUND_DONE, wire, ControlMsg::RoundDone(report));
+                    self.call(functions::ROUND_DONE, ControlMsg::RoundDone(report));
                 }
                 Effect::Subscribe(topic) => {
                     self.subscribe(&session, topic, Inner::on_contribution)?;
@@ -544,8 +511,8 @@ impl Inner {
         Ok(())
     }
 
-    fn call(&self, function: &str, wire: WireVersion, msg: ControlMsg) {
-        let _ = self.fc.call(function, Envelope::new(wire, msg).encode());
+    fn call(&self, function: &str, msg: ControlMsg) {
+        let _ = self.fc.call(function, msg.encode());
     }
 
     /// Encodes a body that needs it into a pooled buffer — a fresh update
@@ -600,9 +567,7 @@ impl Inner {
             weight: publish.weight,
             params: payload.clone(),
         };
-        let result = self
-            .blobs
-            .publish_update(&publish.topic, &blob, publish.data_wire, &update);
+        let result = self.blobs.publish_update(&publish.topic, &blob, &update);
         drop(blob);
         if lend {
             self.pool.lend(payload);
@@ -621,10 +586,12 @@ impl Inner {
         let sid = session_id.clone();
         self.blobs.subscribe(
             &filter(topic),
-            Arc::new(move |blob: Blob, ctx: BlobCtx| match inner.upgrade() {
-                Some(inner) if blob.session_id == sid => on_blob(&inner, &sid, blob, &ctx.update),
-                _ => {}
-            }),
+            Arc::new(
+                move |blob: Blob, update: UpdateMeta| match inner.upgrade() {
+                    Some(inner) if blob.session_id == sid => on_blob(&inner, &sid, blob, &update),
+                    _ => {}
+                },
+            ),
         )
     }
 

@@ -14,7 +14,6 @@ use crate::coordinator::COORDINATOR_ID;
 use crate::messages::CtrlMsg;
 use crate::roles::Role;
 use crate::topics::{param_server_topic, position_topic, Position};
-use crate::wirecodec::SessionReply;
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -43,7 +42,6 @@ fn spec(
         parent,
         expected_inputs,
         round,
-        data_wire: 2,
         data_codec: 0,
     }
 }
@@ -131,11 +129,10 @@ struct Rig {
 }
 
 impl Rig {
-    /// A node joined to session `s` on wire v2.
+    /// A node joined to session `s`.
     fn new() -> Rig {
         let mut core = NodeCore::new(ME, Box::new(FedAvg), UpdateCodec::Dense);
         core.join(&sid(), 10).unwrap();
-        core.session(&sid()).unwrap().wire = WireVersion::V2Binary;
         Rig {
             core,
             workers: WorkerPool::global(),
@@ -756,13 +753,7 @@ fn run_live(steps: &[Expected]) -> (Log, u64) {
 
     let coordinator = FleetController::new(connect(COORDINATOR_ID), COORDINATOR_ID).unwrap();
     coordinator
-        .expose(
-            functions::JOIN_SESSION,
-            Arc::new(|_| {
-                let reply = SessionReply::new("joined", WireVersion::V2Binary);
-                Ok(Envelope::new(WireVersion::V1Json, ControlMsg::Reply(reply)).encode())
-            }),
-        )
+        .expose(functions::JOIN_SESSION, Arc::new(|_| Ok(Bytes::new())))
         .unwrap();
     for (function, kind) in [
         (functions::CONTRIB, MsgKind::Contrib),
@@ -773,7 +764,7 @@ fn run_live(steps: &[Expected]) -> (Log, u64) {
             .expose(
                 function,
                 Arc::new(move |msg| {
-                    let round = match Envelope::decode(kind, &msg.payload).unwrap().msg {
+                    let round = match ControlMsg::decode(kind, &msg.payload).unwrap() {
                         ControlMsg::Contrib(ping) => ping.round,
                         ControlMsg::RoundDone(report) => report.round,
                         other => panic!("unexpected {other:?}"),
@@ -793,10 +784,10 @@ fn run_live(steps: &[Expected]) -> (Log, u64) {
     let topics = (0..3).map(|i| position_topic(&sid(), position(i)));
     for topic in topics.chain([param_server_topic(&sid())]) {
         let (log, key) = (Arc::clone(&log), topic.as_str().to_owned());
-        let handler = move |blob: Blob, ctx: BlobCtx| {
+        let handler = move |blob: Blob, update: UpdateMeta| {
             if blob.sender == ME {
                 let params =
-                    ModelController::decode_update_stateless(&ctx.update, &blob.params).unwrap();
+                    ModelController::decode_update_stateless(&update, &blob.params).unwrap();
                 let bits = params.iter().map(|p| p.to_bits()).collect();
                 let entry = (blob.round, blob.weight, bits);
                 log.lock().entry(key.clone()).or_default().push(entry);
@@ -816,8 +807,8 @@ fn run_live(steps: &[Expected]) -> (Log, u64) {
     let driver = FleetController::new(connect("driver"), "driver").unwrap();
     let publisher = BlobChannel::new(connect("pub"), "pub", BatchConfig::default());
     let ctrl = |session: SessionId, msg: CtrlMsg| {
-        let frame = Envelope::new(WireVersion::V2Binary, ControlMsg::Ctrl { session, msg });
-        driver.call_with_reply(&functions::client_ctrl(ME), frame.encode())
+        let frame = ControlMsg::Ctrl { session, msg }.encode();
+        driver.call_with_reply(&functions::client_ctrl(ME), frame)
     };
 
     for (n, step) in steps.iter().enumerate() {
@@ -835,9 +826,7 @@ fn run_live(steps: &[Expected]) -> (Log, u64) {
                 blob,
                 update,
             } => {
-                publisher
-                    .publish_update(topic, blob, WireVersion::V2Binary, update)
-                    .unwrap();
+                publisher.publish_update(topic, blob, update).unwrap();
                 true
             }
         };

@@ -183,7 +183,6 @@ pub fn build_plan(
                 parent,
                 expected_inputs: 0,
                 round,
-                data_wire: 1,
                 data_codec: 0,
             },
         });
@@ -203,7 +202,6 @@ pub fn build_plan(
                 parent: Position::Root,
                 expected_inputs: inputs_per_intermediate[k] + own,
                 round,
-                data_wire: 1,
                 data_codec: 0,
             },
         });
@@ -219,7 +217,6 @@ pub fn build_plan(
             parent: Position::Root,
             expected_inputs: root_inputs + u32::from(root_role.trains()),
             round,
-            data_wire: 1,
             data_codec: 0,
         },
     });

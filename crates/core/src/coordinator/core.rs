@@ -15,9 +15,8 @@ use crate::ids::{ClientId, SessionId};
 use crate::messages::{ContribMsg, CtrlMsg, JoinRequest, NewSessionRequest, RoundDone};
 use crate::optimizer::RoleOptimizer;
 use crate::session::{FlSession, SessionConfig, SessionState};
-use crate::wirecodec::WireVersion;
 use sdflmq_mqttfc::Json;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 /// Longest session or waiting time a peer may ask for: far beyond any
@@ -63,8 +62,6 @@ pub(crate) enum TopologyDoc {
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Announce {
     pub session: SessionId,
-    /// Negotiated wire versions as they stood before any eviction.
-    pub wire: HashMap<ClientId, WireVersion>,
     pub evicted: Vec<ClientId>,
     /// Only clients whose assignment changed (paper §III.E.5).
     pub roles: Vec<(ClientId, PlanChange)>,
@@ -78,11 +75,10 @@ pub(crate) struct Announce {
 /// One wire action of an [`Announce`].
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum Outgoing<'a> {
-    /// A control message for one client, in the wire version it
-    /// negotiated. `acked` sends wait for the client's acknowledgement.
+    /// A control message for one client. `acked` sends wait for the
+    /// client's acknowledgement.
     Ctrl {
         client: &'a ClientId,
-        version: WireVersion,
         msg: CtrlMsg,
         acked: bool,
     },
@@ -95,7 +91,6 @@ impl Announce {
     fn of(session: &FlSession) -> Announce {
         Announce {
             session: session.config.session_id.clone(),
-            wire: session.wire.clone(),
             evicted: Vec::new(),
             roles: Vec::new(),
             topology: TopologyDoc::Keep,
@@ -140,16 +135,7 @@ impl Announce {
     /// subscriptions exist before data flows), then the retained
     /// topology, and only then the broadcast that sets the fleet going.
     pub fn sends(&self) -> Vec<Outgoing<'_>> {
-        let ctrl = |client, msg, acked| Outgoing::Ctrl {
-            client,
-            version: self
-                .wire
-                .get(client)
-                .copied()
-                .unwrap_or(WireVersion::V1Json),
-            msg,
-            acked,
-        };
+        let ctrl = |client, msg, acked| Outgoing::Ctrl { client, msg, acked };
         let evictions = self.evicted.iter().map(|client| {
             let reason = "missed too many consecutive rounds".into();
             ctrl(client, CtrlMsg::Evicted { reason }, false)
@@ -249,7 +235,7 @@ impl CoordCore {
 
     /// `coord_join_session`: registers a contributor; the join that fills
     /// the session starts it.
-    pub fn on_join(&mut self, req: JoinRequest, negotiated: WireVersion) -> Result<Option<Step>> {
+    pub fn on_join(&mut self, req: JoinRequest) -> Result<Option<Step>> {
         let session = self.session_mut(&req.session_id)?;
         session.add_client(
             ClientInfo {
@@ -260,7 +246,6 @@ impl CoordCore {
             },
             &req.model_name,
         )?;
-        session.wire.insert(req.client_id.clone(), negotiated);
         session.codec_support.insert(req.client_id, req.codec);
         Ok((session.clients.len() >= session.config.capacity_max)
             .then_some(Step::Start(req.session_id)))
@@ -454,20 +439,12 @@ fn rebuild_plan(
 ) -> (Vec<(ClientId, PlanChange)>, Json) {
     let ranking = optimizer.rank(&session.clients, round);
     let mut plan = build_plan(&session.clients, &session.config.topology, &ranking, round);
-    // Stamp before diffing so the data-plane negotiation never registers
-    // as a per-round role change: the blob-metadata wire version and the
-    // update codec are both the *minimum* across all members — blobs flow
-    // client → client, so any aggregator could be the receiver and must be
-    // able to decode.
-    let floor = session
-        .clients
-        .iter()
-        .map(|c| session.wire_version(&c.id))
-        .min()
-        .unwrap_or(WireVersion::V1Json);
+    // Stamp before diffing so the codec negotiation never registers as a
+    // per-round role change: the update codec is the *minimum* across all
+    // members — blobs flow client → client, so any aggregator could be
+    // the receiver and must be able to decode.
     let codec = session.data_codec();
     for assignment in &mut plan.assignments {
-        assignment.spec.data_wire = floor.as_u8();
         assignment.spec.data_codec = codec;
     }
     let changes = match &session.plan {

@@ -3,7 +3,7 @@
 //! Owns session management, the clustering engine, topic-based role
 //! (re)arrangement, and the load balancer. The coordinator is *not* on the
 //! data path: model parameters flow client → aggregator positions →
-//! parameter server; the coordinator only exchanges small JSON control
+//! parameter server; the coordinator only exchanges small control
 //! messages, which is the core scalability claim of semi-decentralized FL.
 //!
 //! Protocol summary:
@@ -57,7 +57,7 @@ use crate::ids::{ClientId, SessionId};
 use crate::optimizer::{MemoryAware, RoleOptimizer};
 use crate::session::SessionState;
 use crate::topics::{functions, topology_topic};
-use crate::wirecodec::{ControlMsg, Envelope, MsgKind, SessionReply, WireVersion};
+use crate::wirecodec::{ControlMsg, MsgKind};
 use bytes::Bytes;
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
@@ -172,10 +172,9 @@ impl Coordinator {
             let _ = waker_tx.send(WorkItem::Wake);
         }));
 
-        // Handlers decode by sniffing the frame (JSON v1 or binary v2),
-        // so a mixed fleet of legacy and upgraded clients coexists. They
-        // run on the MQTT dispatcher thread and only ever touch the core;
-        // whatever may wait for a client goes to the loop thread.
+        // Handlers run on the MQTT dispatcher thread and only ever touch
+        // the core; whatever may wait for a client goes to the loop
+        // thread. A frame that does not decode is refused in the reply.
         for (function, kind) in [
             (functions::NEW_SESSION, MsgKind::NewSession),
             (functions::JOIN_SESSION, MsgKind::Join),
@@ -187,13 +186,13 @@ impl Coordinator {
                 function,
                 Arc::new(move |msg| {
                     let request =
-                        Envelope::decode(kind, &msg.payload).map_err(|e| e.to_string())?;
-                    let (item, reply) = on_request(&mut core.lock(), request.msg, clock.now())
+                        ControlMsg::decode(kind, &msg.payload).map_err(|e| e.to_string())?;
+                    let item = on_request(&mut core.lock(), request, clock.now())
                         .map_err(|e| e.to_string())?;
                     if let Some(item) = item {
                         let _ = work.send(item);
                     }
-                    Ok(reply)
+                    Ok(Bytes::new())
                 }),
             )?;
         }
@@ -251,41 +250,27 @@ impl Drop for Coordinator {
 }
 
 /// Feeds one decoded request to the core at `now`. Returns what to hand
-/// the loop thread, if anything, and the reply payload. The negotiation
-/// replies are always JSON v1 so unupgraded clients can read them.
-fn on_request(
-    core: &mut CoordCore,
-    request: ControlMsg,
-    now: Instant,
-) -> Result<(Option<WorkItem>, Bytes)> {
-    let reply = |status, negotiated| {
-        let reply = ControlMsg::Reply(SessionReply::new(status, negotiated));
-        Envelope::new(WireVersion::V1Json, reply).encode()
-    };
+/// the loop thread, if anything. An accepted request is answered with an
+/// empty reply, a refused one with the error.
+fn on_request(core: &mut CoordCore, request: ControlMsg, now: Instant) -> Result<Option<WorkItem>> {
     Ok(match request {
         ControlMsg::NewSession(req) => {
-            let negotiated = WireVersion::negotiate(req.proto);
             core.on_new_session(req, now)?;
             // The waiting window is a new deadline.
-            (Some(WorkItem::Wake), reply("created", negotiated))
+            Some(WorkItem::Wake)
         }
-        ControlMsg::Join(req) => {
-            let negotiated = WireVersion::negotiate(req.proto);
-            let step = core.on_join(req, negotiated)?;
-            (step.map(WorkItem::Step), reply("joined", negotiated))
-        }
+        ControlMsg::Join(req) => core.on_join(req)?.map(WorkItem::Step),
         ControlMsg::RoundDone(report) => {
             let step = core.on_round_done(report, now)?;
             // A report that closes nothing may still have met the quorum
             // and so armed the grace deadline.
-            let item = step.map_or(WorkItem::Wake, WorkItem::Step);
-            (Some(item), Bytes::new())
+            Some(step.map_or(WorkItem::Wake, WorkItem::Step))
         }
         ControlMsg::Contrib(ping) => {
             core.on_contrib(ping);
-            (None, Bytes::new())
+            None
         }
-        ControlMsg::Ctrl { .. } | ControlMsg::Reply(_) => {
+        ControlMsg::Ctrl { .. } => {
             return Err(CoreError::Protocol("not a coordinator request".into()));
         }
     })
@@ -370,15 +355,10 @@ impl Loop {
         };
         for send in announce.sends() {
             match send {
-                Outgoing::Ctrl {
-                    client,
-                    version,
-                    msg,
-                    acked,
-                } => {
+                Outgoing::Ctrl { client, msg, acked } => {
                     let function = functions::client_ctrl(client.as_str());
                     let session = announce.session.clone();
-                    let frame = Envelope::new(version, ControlMsg::Ctrl { session, msg }).encode();
+                    let frame = ControlMsg::Ctrl { session, msg }.encode();
                     if acked {
                         flush(&mut batch);
                         let _ = self.fc.call_with_reply_timeout(

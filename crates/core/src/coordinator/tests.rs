@@ -55,7 +55,6 @@ fn new_session(
         waiting_time_secs: waiting,
         fl_rounds: rounds,
         preferred_role: PreferredRole::Any,
-        proto: 2,
         codec: 0,
     }
 }
@@ -78,8 +77,6 @@ fn join(i: usize) -> JoinRequest {
         preferred_role: PreferredRole::Any,
         num_samples: 10,
         stats: stats(i),
-        // Odd clients speak JSON v1, even ones binary v2.
-        proto: 2 - (i % 2) as u8,
         codec: 0,
     }
 }
@@ -108,7 +105,6 @@ fn contrib(i: usize, round: u32) -> ContribMsg {
 enum Wire {
     Ctrl {
         to: ClientId,
-        version: WireVersion,
         msg: CtrlMsg,
         acked: bool,
     },
@@ -168,14 +164,8 @@ impl Rig {
             };
             self.wire
                 .extend(announce.sends().into_iter().map(|send| match send {
-                    Outgoing::Ctrl {
-                        client,
-                        version,
-                        msg,
-                        acked,
-                    } => Wire::Ctrl {
+                    Outgoing::Ctrl { client, msg, acked } => Wire::Ctrl {
                         to: client.clone(),
-                        version,
                         msg,
                         acked,
                     },
@@ -188,8 +178,7 @@ impl Rig {
     }
 
     fn join(&mut self, i: usize) -> Result<()> {
-        let negotiated = WireVersion::negotiate(join(i).proto);
-        let step = self.core.on_join(join(i), negotiated)?;
+        let step = self.core.on_join(join(i))?;
         step.into_iter().for_each(|step| self.run(step));
         Ok(())
     }
@@ -268,21 +257,13 @@ fn the_filling_join_hands_out_roles_then_topology_then_round_one() {
 }
 
 #[test]
-fn role_pushes_are_the_only_acknowledged_sends_and_carry_the_negotiated_version() {
+fn role_pushes_are_the_only_acknowledged_sends() {
     let mut rig = Rig::with_session(central(), 2, 2, 2);
     let wire = rig.take();
     assert_eq!(wire.len(), 5, "two roles, the topology, two round_starts");
     for sent in wire {
-        if let Wire::Ctrl {
-            to,
-            version,
-            msg,
-            acked,
-        } = sent
-        {
+        if let Wire::Ctrl { msg, acked, .. } = sent {
             assert_eq!(acked, matches!(msg, CtrlMsg::SetRole(_)));
-            // `c1` joined speaking JSON v1, `c0` binary v2.
-            assert_eq!(version == WireVersion::V1Json, to == cid(1), "{to}");
         }
     }
 }
@@ -751,8 +732,8 @@ fn run_live(steps: &[Expected]) -> Vec<Vec<CtrlMsg>> {
             fc.expose(
                 &functions::client_ctrl(cid(i).as_str()),
                 Arc::new(move |msg| {
-                    let envelope = Envelope::decode(MsgKind::Ctrl, &msg.payload).unwrap();
-                    let ControlMsg::Ctrl { msg, .. } = envelope.msg else {
+                    let decoded = ControlMsg::decode(MsgKind::Ctrl, &msg.payload).unwrap();
+                    let ControlMsg::Ctrl { msg, .. } = decoded else {
                         unreachable!("decoded as Ctrl");
                     };
                     log.lock().push(msg);
@@ -764,10 +745,7 @@ fn run_live(steps: &[Expected]) -> Vec<Vec<CtrlMsg>> {
         })
         .collect();
     let request = |i: usize, function: &str, msg: ControlMsg| {
-        let version = WireVersion::negotiate(join(i).proto);
-        fleet[i]
-            .call_with_reply(function, Envelope::new(version, msg).encode())
-            .is_ok()
+        fleet[i].call_with_reply(function, msg.encode()).is_ok()
     };
     assert!(request(
         0,

@@ -2,7 +2,7 @@
 
 use crate::ids::InvalidId;
 use sdflmq_mqtt::MqttError;
-use sdflmq_mqttfc::{JsonError, RfcError};
+use sdflmq_mqttfc::RfcError;
 use std::fmt;
 
 /// Errors surfaced by coordinator, client, and parameter-server logic.
@@ -55,12 +55,6 @@ impl From<MqttError> for CoreError {
 impl From<RfcError> for CoreError {
     fn from(e: RfcError) -> Self {
         CoreError::Rfc(e)
-    }
-}
-
-impl From<JsonError> for CoreError {
-    fn from(e: JsonError) -> Self {
-        CoreError::Protocol(format!("json: {e}"))
     }
 }
 

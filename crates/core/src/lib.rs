@@ -26,9 +26,9 @@
 //! * the *virtual-time simulator* ([`simrun`]) — deterministic delay
 //!   measurements for the paper's Fig. 8 experiments.
 //!
-//! All coordination traffic travels through the versioned [`wirecodec`]
-//! envelope: JSON v1 (the paper's format) or a compact binary v2,
-//! negotiated per session and described in `docs/PROTOCOL.md`.
+//! All coordination traffic, and every blob's metadata header, travels as
+//! one compact binary [`wirecodec`] frame format, described in
+//! `docs/PROTOCOL.md`.
 //!
 //! Rounds are **dropout-tolerant**: quorum-based closure, straggler
 //! eviction, and mid-round aggregator re-delegation keep a session alive
@@ -58,7 +58,6 @@ pub mod topics;
 pub mod wirecodec;
 
 pub use aggregation::{Accumulator, AggregationMethod, CoordinateMedian, FedAvg, TrimmedMean};
-pub use blob::BlobCtx;
 pub use bufpool::BufferPool;
 pub use client::{DataPlaneStats, SdflmqClient, SdflmqClientConfig, WaitOutcome};
 pub use clock::{wall_clock, Clock, TestClock, WallClock};
@@ -76,6 +75,4 @@ pub use roles::{PreferredRole, Role, RoleSpec};
 pub use sdflmq_nn::codec::UpdateCodec;
 pub use simrun::{simulate, RoundBreakdown, SimConfig, SimReport};
 pub use topics::Position;
-pub use wirecodec::{
-    BinaryCodec, ControlMsg, Envelope, JsonCodec, MsgKind, SessionReply, WireCodec, WireVersion,
-};
+pub use wirecodec::{ControlMsg, MsgKind, WireVersion};

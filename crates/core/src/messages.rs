@@ -1,17 +1,15 @@
 //! Coordination message payloads.
 //!
 //! Control-plane messages (session management, role assignments, stats)
-//! travel in the versioned [`crate::wirecodec`] envelope: JSON v1 (the
-//! paper's format — it encodes "session stats and cluster topologies into
-//! JSON format") or the compact binary v2, negotiated per session via the
-//! `proto` field on [`NewSessionRequest`]/[`JoinRequest`]. This module
-//! holds only the plain message *types*; their wire schemas — one
-//! declarative definition per message driving both codecs — live in
-//! [`crate::wirecodec`].
+//! travel as binary [`crate::wirecodec`] frames. The paper's format
+//! encodes "session stats and cluster topologies into JSON format"; this
+//! implementation keeps JSON only for the retained topology document.
+//! This module holds only the plain message *types*; their wire schemas
+//! (one declarative definition per message) live in [`crate::wirecodec`].
 //!
-//! Data-plane messages (model parameters) are [`Blob`]s: a compact
-//! metadata header (JSON or binary, same negotiation) plus raw
-//! little-endian `f32` bytes, shipped through MQTTFC batching.
+//! Data-plane messages (model parameters) are [`Blob`]s: a binary
+//! metadata header plus the encoded parameter payload, shipped through
+//! MQTTFC batching.
 
 use crate::error::{CoreError, Result};
 use crate::ids::{ClientId, ModelId, SessionId};
@@ -41,13 +39,9 @@ pub struct NewSessionRequest {
     pub fl_rounds: u32,
     /// The creator's preferred role.
     pub preferred_role: PreferredRole,
-    /// Highest wire version the sender supports (see
-    /// [`WireVersion::negotiate`]). Legacy JSON docs without the field
-    /// decode as `1`.
-    pub proto: u8,
     /// Highest update-codec id the creator wants for the session's data
-    /// plane ([`sdflmq_nn::codec`] ids; 0 = dense f32, the legacy
-    /// default). The coordinator caps it at every member's support.
+    /// plane ([`sdflmq_nn::codec`] ids; 0 = dense f32). The coordinator
+    /// caps it at every member's support.
     pub codec: u8,
 }
 
@@ -66,11 +60,8 @@ pub struct JoinRequest {
     pub num_samples: u64,
     /// Current system stats for initial role placement.
     pub stats: StatsMsg,
-    /// Highest wire version the sender supports (see
-    /// [`WireVersion::negotiate`]).
-    pub proto: u8,
-    /// Highest update-codec id this client supports (0 = dense only, the
-    /// legacy default; see [`sdflmq_nn::codec`]).
+    /// Highest update-codec id this client supports (0 = dense only; see
+    /// [`sdflmq_nn::codec`]).
     pub codec: u8,
 }
 
@@ -160,15 +151,13 @@ pub enum CtrlMsg {
 }
 
 /// Data-plane codec metadata carried in a blob header: how the parameter
-/// payload is encoded. The all-zero default is the legacy dense-f32 wire
-/// form (and is omitted from JSON v1 headers, keeping them byte-identical
-/// to pre-codec senders).
+/// payload is encoded. The all-zero default is dense f32.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct UpdateMeta {
     /// Update-codec id (`sdflmq_nn::codec`: 0 dense, 1 fp16, 2 int8,
     /// 3 top-k sparse delta).
     pub codec: u8,
-    /// Decoded element count (0 = unspecified, for legacy senders).
+    /// Decoded element count (0 = unspecified).
     pub elems: u64,
     /// For delta codecs: the global round of the base vector the payload
     /// is a delta against (0 = the all-zeros base, i.e. no global applied
@@ -195,29 +184,30 @@ pub struct Blob {
 }
 
 impl Blob {
-    /// Encodes to bytes: u32 meta length + metadata (JSON v1 or binary v2
-    /// per `version`) + params, declaring the legacy dense codec. Senders
-    /// of non-dense payloads use [`Blob::encode_update`].
-    pub fn encode(&self, version: WireVersion) -> Bytes {
-        self.encode_update(version, &UpdateMeta::default())
+    /// Encodes to bytes: u32 meta length + binary metadata + params,
+    /// declaring the dense codec. Senders of non-dense payloads use
+    /// [`Blob::encode_update`].
+    pub fn encode(&self) -> Bytes {
+        self.encode_update(&UpdateMeta::default())
     }
 
     /// Encodes with explicit update-codec metadata in the header.
-    pub fn encode_update(&self, version: WireVersion, update: &UpdateMeta) -> Bytes {
-        self.encode_update_into(version, update, Vec::new())
+    pub fn encode_update(&self, update: &UpdateMeta) -> Bytes {
+        self.encode_update_into(WireVersion::LATEST, update, Vec::new())
     }
 
     /// Like [`Blob::encode_update`], but reusing `buf` as the backing
     /// storage (cleared first) so steady-state senders can recycle frame
     /// buffers through a [`crate::bufpool::BufferPool`]. Byte-identical
-    /// to [`Blob::encode_update`].
+    /// to [`Blob::encode_update`]. There is one metadata version, so
+    /// `_version` is always [`WireVersion::LATEST`].
     pub fn encode_update_into(
         &self,
-        version: WireVersion,
+        _version: WireVersion,
         update: &UpdateMeta,
         mut buf: Vec<u8>,
     ) -> Bytes {
-        let meta = encode_blob_meta(self, update, version);
+        let meta = encode_blob_meta(self, update);
         buf.clear();
         buf.reserve(4 + meta.len() + self.params.len());
         let mut out = BytesMut::from(buf);
@@ -227,21 +217,14 @@ impl Blob {
         out.freeze()
     }
 
-    /// Decodes from bytes produced by [`Blob::encode`], sniffing the
-    /// metadata version.
+    /// Decodes from bytes produced by [`Blob::encode`].
     pub fn decode(input: Bytes) -> Result<Blob> {
-        Ok(Blob::decode_versioned(input)?.0)
+        Ok(Blob::decode_update(input)?.0)
     }
 
-    /// Like [`Blob::decode`], also reporting which wire version the sender
-    /// used (so relays can answer in kind).
-    pub fn decode_versioned(input: Bytes) -> Result<(Blob, WireVersion)> {
-        let (blob, _, version) = Blob::decode_update(input)?;
-        Ok((blob, version))
-    }
-
-    /// Full decode: the blob, its update-codec metadata (all-zero for
-    /// legacy dense headers), and the metadata wire version.
+    /// Full decode: the blob, its update-codec metadata, and the metadata
+    /// wire version (always [`WireVersion::LATEST`]: any other is
+    /// refused).
     pub fn decode_update(mut input: Bytes) -> Result<(Blob, UpdateMeta, WireVersion)> {
         if input.remaining() < 4 {
             return Err(CoreError::Protocol("blob too short".into()));
@@ -250,8 +233,7 @@ impl Blob {
         if input.remaining() < meta_len {
             return Err(CoreError::Protocol("blob meta truncated".into()));
         }
-        let meta_bytes = input.split_to(meta_len);
-        let (meta, version) = decode_blob_meta(&meta_bytes)?;
+        let meta = decode_blob_meta(&input.split_to(meta_len))?;
         Ok((
             Blob {
                 session_id: meta.session_id,
@@ -265,7 +247,7 @@ impl Blob {
                 elems: meta.elems,
                 delta_base: meta.delta_base,
             },
-            version,
+            WireVersion::LATEST,
         ))
     }
 }
@@ -278,95 +260,66 @@ impl Blob {
 mod tests {
     use super::*;
 
-    #[test]
-    fn blob_roundtrip_both_versions() {
-        let blob = Blob {
+    fn blob(params: Vec<u8>) -> Blob {
+        Blob {
             session_id: SessionId::new("s9").unwrap(),
             round: 4,
             sender: "c3".into(),
             weight: 600,
-            params: Bytes::from(vec![1u8, 2, 3, 4, 5]),
-        };
-        for version in [WireVersion::V1Json, WireVersion::V2Binary] {
-            let (decoded, got) = Blob::decode_versioned(blob.encode(version)).unwrap();
-            assert_eq!(decoded, blob);
-            assert_eq!(got, version);
+            params: Bytes::from(params),
         }
     }
 
     #[test]
+    fn blob_roundtrip() {
+        let blob = blob(vec![1u8, 2, 3, 4, 5]);
+        assert_eq!(Blob::decode(blob.encode()).unwrap(), blob);
+    }
+
+    #[test]
     fn blob_update_meta_roundtrips_and_defaults() {
-        let blob = Blob {
-            session_id: SessionId::new("s9").unwrap(),
-            round: 4,
-            sender: "c3".into(),
-            weight: 600,
-            params: Bytes::from(vec![1u8, 2, 3]),
-        };
+        let blob = blob(vec![1u8, 2, 3]);
         let update = UpdateMeta {
             codec: 3,
             elems: 109_386,
             delta_base: 3,
         };
-        for version in [WireVersion::V1Json, WireVersion::V2Binary] {
-            let frame = blob.encode_update(version, &update);
-            let (decoded, got_update, got_version) = Blob::decode_update(frame).unwrap();
-            assert_eq!(decoded, blob);
-            assert_eq!(got_update, update);
-            assert_eq!(got_version, version);
-        }
-        // A plain `encode` declares the legacy dense default, and a
-        // legacy JSON header without the codec fields decodes to it.
-        let (_, update, _) = Blob::decode_update(blob.encode(WireVersion::V1Json)).unwrap();
+        let frame = blob.encode_update(&update);
+        let (decoded, got_update, got_version) = Blob::decode_update(frame).unwrap();
+        assert_eq!(decoded, blob);
+        assert_eq!(got_update, update);
+        assert_eq!(got_version, WireVersion::LATEST);
+        // A plain `encode` declares the dense default.
+        let (_, update, _) = Blob::decode_update(blob.encode()).unwrap();
         assert_eq!(update, UpdateMeta::default());
     }
 
     #[test]
-    fn dense_v1_header_is_byte_identical_to_legacy() {
-        // The codec fields are omitted from JSON when zero, so a dense v1
-        // blob's bytes are exactly what a pre-codec sender produced.
-        let blob = Blob {
-            session_id: SessionId::new("s1").unwrap(),
-            round: 2,
-            sender: "c1".into(),
-            weight: 5,
-            params: Bytes::from(vec![0u8; 4]),
-        };
-        let frame = blob.encode(WireVersion::V1Json);
-        let meta_len = u32::from_be_bytes(frame[..4].try_into().unwrap()) as usize;
-        let meta = std::str::from_utf8(&frame[4..4 + meta_len]).unwrap();
-        assert_eq!(
-            meta,
-            r#"{"round":2,"sender":"c1","session_id":"s1","weight":5}"#
-        );
-    }
-
-    #[test]
     fn encode_update_into_reuses_buffer_and_matches() {
-        let blob = Blob {
-            session_id: SessionId::new("s9").unwrap(),
-            round: 4,
-            sender: "c3".into(),
-            weight: 600,
-            params: Bytes::from(vec![1u8, 2, 3, 4, 5]),
-        };
+        let blob = blob(vec![1u8, 2, 3, 4, 5]);
         let update = UpdateMeta {
             codec: 2,
             elems: 5,
             delta_base: 1,
         };
-        for version in [WireVersion::V1Json, WireVersion::V2Binary] {
-            let plain = blob.encode_update(version, &update);
-            // A dirty recycled buffer must not leak into the frame.
-            let recycled = vec![0xAAu8; 256];
-            let pooled = blob.encode_update_into(version, &update, recycled);
-            assert_eq!(&pooled[..], &plain[..]);
-        }
+        let plain = blob.encode_update(&update);
+        // A dirty recycled buffer must not leak into the frame.
+        let recycled = vec![0xAAu8; 256];
+        let pooled = blob.encode_update_into(WireVersion::LATEST, &update, recycled);
+        assert_eq!(&pooled[..], &plain[..]);
     }
 
     #[test]
     fn blob_rejects_garbage() {
         assert!(Blob::decode(Bytes::from_static(b"xx")).is_err());
         assert!(Blob::decode(Bytes::from_static(&[0, 0, 0, 99, b'{'])).is_err());
+        // A JSON metadata document, as version-1 senders wrote it.
+        let json = br#"{"round":2,"sender":"c1","session_id":"s1","weight":5}"#;
+        let mut frame = (json.len() as u32).to_be_bytes().to_vec();
+        frame.extend_from_slice(json);
+        assert!(matches!(
+            Blob::decode(Bytes::from(frame)),
+            Err(CoreError::Protocol(_))
+        ));
     }
 }

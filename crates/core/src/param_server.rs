@@ -7,12 +7,11 @@
 //! `sdflmq/session/<sid>/global`, where every contributor's global-update
 //! synchronizer picks it up.
 
-use crate::blob::{BlobChannel, BlobCtx};
+use crate::blob::BlobChannel;
 use crate::error::{CoreError, Result};
 use crate::ids::SessionId;
 use crate::messages::{Blob, UpdateMeta};
 use crate::topics::global_topic;
-use crate::wirecodec::WireVersion;
 use parking_lot::Mutex;
 use sdflmq_mqtt::{Broker, Client, ClientOptions, Dialer, TopicFilter};
 use sdflmq_mqttfc::BatchConfig;
@@ -35,8 +34,6 @@ pub struct GlobalModel {
     pub weight: u64,
     /// The payload's update-codec metadata.
     pub update: UpdateMeta,
-    /// Metadata wire version the root aggregate used.
-    pub wire: WireVersion,
 }
 
 /// A running parameter server node.
@@ -85,14 +82,13 @@ impl ParamServer {
         let rebroadcast = Arc::downgrade(&blobs);
         blobs.subscribe(
             &TopicFilter::new("sdflmq/session/+/ps").expect("valid filter"),
-            Arc::new(move |blob: Blob, ctx: BlobCtx| {
+            Arc::new(move |blob: Blob, update: UpdateMeta| {
                 let session = blob.session_id.clone();
                 let model = GlobalModel {
                     round: blob.round,
                     params: blob.params.clone(),
                     weight: blob.weight,
-                    update: ctx.update,
-                    wire: ctx.version,
+                    update,
                 };
                 {
                     let mut repo = repo_in.lock();
@@ -112,10 +108,9 @@ impl ParamServer {
                     }
                 }
                 // Global update synchronizer: broadcast to all clients in
-                // the session's negotiated data-plane form — the wire
-                // version *and* payload codec the root aggregate carried
-                // (the coordinator stamped both into the root's role, so
-                // echoing them is the negotiation result, not a hardcoded
+                // the payload codec the root aggregate carried (the
+                // coordinator stamped it into the root's role, so echoing
+                // it is the negotiation result, not a hardcoded
                 // server-side choice).
                 let global = Blob {
                     session_id: session.clone(),
@@ -127,12 +122,7 @@ impl ParamServer {
                 let Some(rebroadcast) = rebroadcast.upgrade() else {
                     return;
                 };
-                let _ = rebroadcast.publish_update(
-                    &global_topic(&session),
-                    &global,
-                    ctx.version,
-                    &ctx.update,
-                );
+                let _ = rebroadcast.publish_update(&global_topic(&session), &global, &update);
             }),
         )?;
 
@@ -159,7 +149,7 @@ impl ParamServer {
             params: model.params,
         };
         self.blobs
-            .publish_update(&global_topic(session), &global, model.wire, &model.update)
+            .publish_update(&global_topic(session), &global, &model.update)
     }
 
     /// Data-plane transfers this server received but dropped as corrupt.

@@ -99,18 +99,12 @@ pub struct RoleSpec {
     pub expected_inputs: u32,
     /// Round this assignment takes effect.
     pub round: u32,
-    /// Wire version for the session's data-plane blob metadata: the
-    /// *minimum* version negotiated across all session members, stamped
-    /// by the coordinator. Blobs flow client → client, so the sender
-    /// must use a version every possible receiver understands; `1`
-    /// (JSON) is the safe floor and the default when a legacy
-    /// coordinator omits the field.
-    pub data_wire: u8,
     /// Update codec for the session's data-plane payloads
-    /// (`sdflmq_nn::codec` ids), stamped by the coordinator like
-    /// `data_wire`: the minimum of every member's advertised support and
-    /// the session creator's request. `0` (dense f32) is the safe floor
-    /// and the default when a legacy coordinator omits the field.
+    /// (`sdflmq_nn::codec` ids), stamped by the coordinator: the minimum
+    /// of every member's advertised support and the session creator's
+    /// request. Blobs flow client → client, so the sender must use a
+    /// codec every possible receiver decodes; `0` (dense f32) is the
+    /// safe floor.
     pub data_codec: u8,
 }
 
@@ -159,7 +153,6 @@ mod tests {
             parent: Position::Root,
             expected_inputs: 2,
             round: 1,
-            data_wire: 1,
             data_codec: 0,
         };
         assert!(spec.is_root());

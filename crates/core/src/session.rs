@@ -18,7 +18,6 @@
 use crate::clustering::{ClientInfo, ClusterPlan, Topology};
 use crate::error::{CoreError, Result};
 use crate::ids::{ClientId, ModelId, SessionId};
-use crate::wirecodec::WireVersion;
 use std::collections::{HashMap, HashSet};
 use std::time::{Duration, Instant};
 
@@ -97,9 +96,6 @@ pub struct FlSession {
     pub plan: Option<ClusterPlan>,
     /// Creation instant (for the session-time budget).
     pub created: Instant,
-    /// Per-client negotiated control-plane wire version (from the `proto`
-    /// field of each join request; absent clients are v1).
-    pub wire: HashMap<ClientId, WireVersion>,
     /// Per-client advertised update-codec support (from the `codec` field
     /// of each join request; absent clients are dense-only).
     pub codec_support: HashMap<ClientId, u8>,
@@ -120,7 +116,6 @@ impl FlSession {
             state: SessionState::Waiting,
             plan: None,
             created: now,
-            wire: HashMap::new(),
             codec_support: HashMap::new(),
             missed: HashMap::new(),
             finished_at: None,
@@ -130,14 +125,6 @@ impl FlSession {
     /// Ids of the current (surviving) contributors, in join order.
     pub fn member_ids(&self) -> Vec<ClientId> {
         self.clients.iter().map(|c| c.id.clone()).collect()
-    }
-
-    /// The wire version negotiated with `client` (v1 when unknown).
-    pub fn wire_version(&self, client: &ClientId) -> WireVersion {
-        self.wire
-            .get(client)
-            .copied()
-            .unwrap_or(WireVersion::V1Json)
     }
 
     /// The session's data-plane update codec: the creator's request
@@ -325,7 +312,7 @@ impl FlSession {
     /// caller is responsible for re-planning and for notifying the client.
     pub fn evict(&mut self, client: &ClientId, now: Instant) {
         self.clients.retain(|c| &c.id != client);
-        self.wire.remove(client);
+        self.codec_support.remove(client);
         self.missed.remove(client);
         if let SessionState::Running {
             done,
@@ -747,10 +734,11 @@ mod tests {
         s.record_done(&cid("c1"), 1, t0).unwrap();
         s.record_done(&cid("c2"), 1, t0).unwrap();
         assert!(!s.all_done());
+        s.codec_support.insert(cid("c3"), 2);
         s.evict(&cid("c3"), t0);
         assert_eq!(s.clients.len(), 3);
         assert!(s.all_done(), "evicting the holdout closes the round");
-        assert!(!s.wire.contains_key(&cid("c3")));
+        assert!(!s.codec_support.contains_key(&cid("c3")));
     }
 
     #[test]

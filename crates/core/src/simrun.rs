@@ -16,7 +16,7 @@ use crate::messages::{Blob, CtrlMsg, RoundDone, StatsMsg, UpdateMeta};
 use crate::optimizer::RoleOptimizer;
 use crate::roles::{PreferredRole, Role, RoleSpec};
 use crate::topics::Position;
-use crate::wirecodec::{ControlMsg, Envelope, WireVersion};
+use crate::wirecodec::ControlMsg;
 use bytes::Bytes;
 use sdflmq_nn::codec::UpdateCodec;
 use sdflmq_sim::{ClientSystem, Network, NodeLink, SimDuration, SimTime, SystemSpec};
@@ -72,10 +72,6 @@ pub struct SimConfig {
     /// single broker. The parameter server and cross-region traffic pay a
     /// 20 ms bridge hop.
     pub regions: u32,
-    /// Control-plane wire version: sizes of `set_role` / `round_start` /
-    /// `round_done` frames are measured from real encodings at this
-    /// version and reported in [`SimReport::control_bytes`].
-    pub control_wire: WireVersion,
     /// Per-client, per-round probability of dropping out (dying) at the
     /// start of a round. Dropped clients are evicted: the plan for that
     /// round is rebuilt over the survivors (mid-round re-delegation) and
@@ -122,7 +118,6 @@ impl SimConfig {
             drift: true,
             scale_bandwidth_with_cpu: false,
             regions: 1,
-            control_wire: WireVersion::LATEST,
             dropout_prob: 0.0,
             straggler_fraction: 0.0,
             straggler_multiplier: 1.0,
@@ -164,8 +159,7 @@ pub struct SimReport {
     /// Total data-plane (parameter) bytes carried by the network.
     pub network_bytes: u64,
     /// Total control-plane bytes (`set_role` + `round_start` +
-    /// `round_done` frames), measured from real encodings at
-    /// [`SimConfig::control_wire`].
+    /// `round_done` frames), measured from real encodings.
     pub control_bytes: u64,
     /// Clients evicted over the whole run (dropout churn).
     pub evicted: usize,
@@ -271,7 +265,7 @@ pub fn simulate(mut config: SimConfig) -> SimReport {
     let mut evicted_total = 0usize;
     let mut aggregators_redelegated = 0usize;
     let mut completed_despite_dropout = 0u32;
-    let ctrl_sizes = ControlFrameSizes::measure(config.control_wire);
+    let ctrl_sizes = ControlFrameSizes::measure();
 
     for round in 1..=config.rounds {
         // Dropout churn: each alive client dies with `dropout_prob` at the
@@ -388,10 +382,7 @@ impl CodecProbe {
                 elems: n as u64,
                 delta_base: 0,
             };
-            // Blob metadata is framed at binary v2 regardless of the
-            // *control* wire version: the data plane must not change size
-            // when only the control codec changes.
-            blob.encode_update(WireVersion::V2Binary, &update).len() as u64
+            blob.encode_update(&update).len() as u64
         };
         let frame_bytes = frame_of(config.update_codec);
         let dense_bytes = frame_of(UpdateCodec::Dense);
@@ -449,9 +440,8 @@ impl CodecProbe {
     }
 }
 
-/// Byte sizes of representative control frames at one wire version,
-/// measured by actually encoding them (so the accounting tracks the codec,
-/// not an estimate).
+/// Byte sizes of representative control frames, measured by actually
+/// encoding them (so the accounting tracks the codec, not an estimate).
 struct ControlFrameSizes {
     set_role: u64,
     round_start: u64,
@@ -459,54 +449,39 @@ struct ControlFrameSizes {
 }
 
 impl ControlFrameSizes {
-    fn measure(version: WireVersion) -> ControlFrameSizes {
+    fn measure() -> ControlFrameSizes {
         let session = crate::ids::SessionId::new("sim-session").expect("valid id");
         let client = ClientId::new("c0").expect("valid id");
-        let set_role = Envelope::new(
-            version,
-            ControlMsg::Ctrl {
-                session: session.clone(),
-                msg: CtrlMsg::SetRole(RoleSpec {
-                    role: Role::TrainerAggregator,
-                    position: Some(Position::Agg(0)),
-                    parent: Position::Root,
-                    expected_inputs: 8,
-                    round: 1,
-                    data_wire: version.as_u8(),
-                    data_codec: 0,
-                }),
-            },
-        )
-        .encode()
-        .len() as u64;
-        let round_start = Envelope::new(
-            version,
-            ControlMsg::Ctrl {
-                session: session.clone(),
-                msg: CtrlMsg::RoundStart { round: 1 },
-            },
-        )
-        .encode()
-        .len() as u64;
-        let round_done = Envelope::new(
-            version,
-            ControlMsg::RoundDone(RoundDone {
-                session_id: session,
-                client_id: client,
+        let set_role = ControlMsg::Ctrl {
+            session: session.clone(),
+            msg: CtrlMsg::SetRole(RoleSpec {
+                role: Role::TrainerAggregator,
+                position: Some(Position::Agg(0)),
+                parent: Position::Root,
+                expected_inputs: 8,
                 round: 1,
-                stats: StatsMsg {
-                    free_memory: 1 << 28,
-                    available_flops: 2e9,
-                    memory_utilization: 0.5,
-                },
+                data_codec: 0,
             }),
-        )
-        .encode()
-        .len() as u64;
+        };
+        let round_start = ControlMsg::Ctrl {
+            session: session.clone(),
+            msg: CtrlMsg::RoundStart { round: 1 },
+        };
+        let round_done = ControlMsg::RoundDone(RoundDone {
+            session_id: session,
+            client_id: client,
+            round: 1,
+            stats: StatsMsg {
+                free_memory: 1 << 28,
+                available_flops: 2e9,
+                memory_utilization: 0.5,
+            },
+        });
+        let len = |msg: ControlMsg| msg.encode().len() as u64;
         ControlFrameSizes {
-            set_role,
-            round_start,
-            round_done,
+            set_role: len(set_role),
+            round_start: len(round_start),
+            round_done: len(round_done),
         }
     }
 
@@ -741,26 +716,18 @@ mod tests {
     }
 
     #[test]
-    fn binary_control_plane_is_smaller() {
-        let run = |control_wire| {
-            simulate(SimConfig {
-                rounds: 3,
-                optimizer: Box::new(StaticOrder),
-                control_wire,
-                ..SimConfig::fig8(8, Topology::Central)
-            })
-        };
-        let v1 = run(crate::wirecodec::WireVersion::V1Json);
-        let v2 = run(crate::wirecodec::WireVersion::V2Binary);
-        assert!(v1.control_bytes > 0 && v2.control_bytes > 0);
-        assert!(
-            (v2.control_bytes as f64) < 0.6 * v1.control_bytes as f64,
-            "binary control plane {} vs JSON {}",
-            v2.control_bytes,
-            v1.control_bytes
-        );
-        // The data plane is unaffected by the control codec.
-        assert_eq!(v1.network_bytes, v2.network_bytes);
+    fn control_bytes_count_every_frame_of_every_round() {
+        let report = quick(6, Topology::Central, Box::new(StaticOrder));
+        let sizes = ControlFrameSizes::measure();
+        // Header (3) + session "sim-session" (1 + 11) + cmd (1) + round (1).
+        assert_eq!(sizes.round_start, 17);
+        let expected: u64 = report
+            .rounds
+            .iter()
+            .map(|r| sizes.round_total(r.rearranged, r.survivors))
+            .sum();
+        assert!(expected > 0);
+        assert_eq!(report.control_bytes, expected);
     }
 
     #[test]

@@ -1,12 +1,14 @@
 //! Requests no honest client sends must be refused, not crash the node.
 
+use sdflmq_core::topics::functions;
 use sdflmq_core::{
     ClientId, Coordinator, CoordinatorConfig, CoreError, ModelId, ParamServer, PreferredRole,
     SdflmqClient, SdflmqClientConfig, SessionId, WaitOutcome,
 };
-use sdflmq_mqtt::Broker;
-use sdflmq_mqttfc::BatchConfig;
-use std::time::Duration;
+use sdflmq_mqtt::{Broker, Client, ClientOptions, QoS, TopicName};
+use sdflmq_mqttfc::batching::split;
+use sdflmq_mqttfc::{BatchConfig, FleetController, RfcError};
+use std::time::{Duration, Instant};
 
 #[test]
 fn an_unrepresentable_session_time_is_refused_and_the_coordinator_lives_on() {
@@ -59,7 +61,6 @@ fn a_refused_join_leaves_nothing_behind_and_can_be_retried() {
         .join_fl_session(&session, &model, PreferredRole::Any, 10)
         .unwrap_err();
     assert!(matches!(err, CoreError::Refused(_)), "got {err:?}");
-    assert_eq!(joiner.wire_version(&session), None);
     creator
         .create_fl_session(
             &session,
@@ -90,4 +91,62 @@ fn a_refused_join_leaves_nothing_behind_and_can_be_retried() {
     for round in rounds {
         assert_eq!(round.join().unwrap().unwrap(), WaitOutcome::Completed);
     }
+}
+
+#[test]
+fn deeply_nested_brackets_are_refused_and_the_nodes_live_on() {
+    let broker = Broker::start_default();
+    let _coordinator = Coordinator::start(&broker, CoordinatorConfig::default()).unwrap();
+    let ps = ParamServer::start(&broker, BatchConfig::default()).unwrap();
+    let raw = Client::connect(&broker, ClientOptions::new("raw")).unwrap();
+    let raw = FleetController::new(raw, "raw").unwrap();
+    // Twenty thousand `[`: a JSON document nested that deep overflowed
+    // the stack of whichever dispatcher thread parsed it, and the stack
+    // overflow aborted the whole process, broker included. No frame
+    // starts with `[`, so it is refused before anything parses it.
+    let nested = vec![b'['; 20_000];
+    for function in [functions::NEW_SESSION, functions::JOIN_SESSION] {
+        let err = raw.call_with_reply(function, nested.clone()).unwrap_err();
+        assert!(
+            matches!(err, RfcError::Remote(_)),
+            "{function}: got {err:?}"
+        );
+    }
+    // The same bytes as a blob's metadata header, sent to the parameter
+    // server: dropped and counted.
+    let mut blob = (nested.len() as u32).to_be_bytes().to_vec();
+    blob.extend_from_slice(&nested);
+    let topic = TopicName::new("sdflmq/session/s/ps").unwrap();
+    let frames = split(&blob, 1, &BatchConfig::default());
+    let frames = frames.into_iter().map(|frame| (&topic, frame));
+    raw.client()
+        .publish_all(frames, QoS::AtLeastOnce, false)
+        .unwrap();
+    let patience = Instant::now() + Duration::from_secs(10);
+    while ps.dropped_transfers() == 0 {
+        assert!(
+            Instant::now() < patience,
+            "the parameter server never saw it"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let client = SdflmqClient::connect(
+        &broker,
+        ClientId::new("c0").unwrap(),
+        SdflmqClientConfig::default(),
+    )
+    .unwrap();
+    client
+        .create_fl_session(
+            &SessionId::new("after").unwrap(),
+            &ModelId::new("mlp").unwrap(),
+            Duration::from_secs(60),
+            1,
+            2,
+            Duration::from_secs(60),
+            1,
+            PreferredRole::Any,
+            10,
+        )
+        .unwrap();
 }

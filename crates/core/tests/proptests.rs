@@ -213,18 +213,27 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Wire codec laws: every control-plane message round-trips under both
-// codecs, binary re-encoding is byte-exact, and version negotiation
-// falls back to JSON v1 for legacy peers.
+// Wire codec laws: every control-plane message and blob header
+// round-trips, re-encoding is byte-exact, every strict prefix of a valid
+// frame is refused, and a mangled frame is refused or is itself a
+// canonical frame — never a panic.
 // ---------------------------------------------------------------------
 
 use sdflmq_core::messages::{
-    Blob, ContribMsg, CtrlMsg, JoinRequest, NewSessionRequest, RoundDone, StatsMsg,
+    Blob, ContribMsg, CtrlMsg, JoinRequest, NewSessionRequest, RoundDone, StatsMsg, UpdateMeta,
 };
 use sdflmq_core::{
-    ClientId as WireClientId, ControlMsg, Envelope, ModelId, MsgKind, Position, Role, RoleSpec,
-    SessionId, SessionReply, WireVersion,
+    ClientId as WireClientId, ControlMsg, ModelId, MsgKind, Position, Role, RoleSpec, SessionId,
+    WireVersion,
 };
+
+const CONTROL_KINDS: [MsgKind; 5] = [
+    MsgKind::NewSession,
+    MsgKind::Join,
+    MsgKind::RoundDone,
+    MsgKind::Ctrl,
+    MsgKind::Contrib,
+];
 
 fn wire_id() -> impl Strategy<Value = String> {
     "[a-z0-9_.-]{1,16}"
@@ -235,8 +244,6 @@ fn stats_msg() -> impl Strategy<Value = StatsMsg> {
         |(free_memory, available_flops, memory_utilization)| StatsMsg {
             free_memory,
             available_flops,
-            // Keep values JSON-exact: v1 prints f64s with enough digits to
-            // round-trip, so any finite value works; NaN/Inf would not.
             memory_utilization,
         },
     )
@@ -265,17 +272,15 @@ fn role_spec() -> impl Strategy<Value = RoleSpec> {
         position(),
         0u32..1000,
         1u32..10_000,
-        0u8..5,
         0u8..4,
     )
         .prop_map(
-            |(role, position, parent, expected_inputs, round, data_wire, data_codec)| RoleSpec {
+            |(role, position, parent, expected_inputs, round, data_codec)| RoleSpec {
                 role,
                 position,
                 parent,
                 expected_inputs,
                 round,
-                data_wire,
                 data_codec,
             },
         )
@@ -304,25 +309,22 @@ fn control_msg() -> impl Strategy<Value = ControlMsg> {
             0.0f64..1e4,
             1u32..1000,
             preferred_role(),
-            (0u8..5, 0u8..4)
+            0u8..4
         )
-            .prop_map(
-                |(s, c, m, time, lo, hi, wait, rounds, role, (proto, codec))| {
-                    ControlMsg::NewSession(NewSessionRequest {
-                        session_id: SessionId::new(s).unwrap(),
-                        client_id: WireClientId::new(c).unwrap(),
-                        model_name: ModelId::new(m).unwrap(),
-                        session_time_secs: time,
-                        capacity_min: lo.min(hi),
-                        capacity_max: lo.max(hi),
-                        waiting_time_secs: wait,
-                        fl_rounds: rounds,
-                        preferred_role: role,
-                        proto,
-                        codec,
-                    })
-                }
-            ),
+            .prop_map(|(s, c, m, time, lo, hi, wait, rounds, role, codec)| {
+                ControlMsg::NewSession(NewSessionRequest {
+                    session_id: SessionId::new(s).unwrap(),
+                    client_id: WireClientId::new(c).unwrap(),
+                    model_name: ModelId::new(m).unwrap(),
+                    session_time_secs: time,
+                    capacity_min: lo.min(hi),
+                    capacity_max: lo.max(hi),
+                    waiting_time_secs: wait,
+                    fl_rounds: rounds,
+                    preferred_role: role,
+                    codec,
+                })
+            }),
         (
             wire_id(),
             wire_id(),
@@ -330,9 +332,9 @@ fn control_msg() -> impl Strategy<Value = ControlMsg> {
             preferred_role(),
             1u64..1_000_000,
             stats_msg(),
-            (0u8..5, 0u8..4)
+            0u8..4
         )
-            .prop_map(|(s, c, m, role, samples, stats, (proto, codec))| {
+            .prop_map(|(s, c, m, role, samples, stats, codec)| {
                 ControlMsg::Join(JoinRequest {
                     session_id: SessionId::new(s).unwrap(),
                     client_id: WireClientId::new(c).unwrap(),
@@ -340,7 +342,6 @@ fn control_msg() -> impl Strategy<Value = ControlMsg> {
                     preferred_role: role,
                     num_samples: samples,
                     stats,
-                    proto,
                     codec,
                 })
             }),
@@ -363,91 +364,151 @@ fn control_msg() -> impl Strategy<Value = ControlMsg> {
                 round,
             })
         }),
-        ("[a-z]{1,10}", 0u8..5)
-            .prop_map(|(status, proto)| { ControlMsg::Reply(SessionReply { status, proto }) }),
     ]
+}
+
+/// A blob with arbitrary update-codec metadata.
+fn blob_msg() -> impl Strategy<Value = (Blob, UpdateMeta)> {
+    (
+        wire_id(),
+        "[a-z0-9_]{1,12}",
+        1u32..10_000,
+        1u64..1_000_000,
+        prop::collection::vec(any::<u8>(), 0..64),
+        any::<u8>(),
+        any::<u64>(),
+        any::<u32>(),
+    )
+        .prop_map(
+            |(sid, sender, round, weight, params, codec, elems, delta_base)| {
+                let blob = Blob {
+                    session_id: SessionId::new(sid).unwrap(),
+                    round,
+                    sender,
+                    weight,
+                    params: bytes::Bytes::from(params),
+                };
+                let update = UpdateMeta {
+                    codec,
+                    elems,
+                    delta_base,
+                };
+                (blob, update)
+            },
+        )
+}
+
+/// `frame` with one byte flipped (`kind` 0), cut short (1), extended by
+/// `tail` (2), or spliced into the tail of `other` (3).
+fn mangle(frame: &[u8], other: &[u8], kind: u8, at: u32, byte: u8, tail: &[u8]) -> Vec<u8> {
+    let cut = at as usize % (frame.len() + 1);
+    match kind {
+        0 => {
+            let mut f = frame.to_vec();
+            f[cut.min(frame.len() - 1)] ^= byte.max(1);
+            f
+        }
+        1 => frame[..cut].to_vec(),
+        2 => [frame, tail].concat(),
+        _ => [&frame[..cut], &other[(byte as usize) % (other.len() + 1)..]].concat(),
+    }
+}
+
+/// Decodes a blob frame and, if it decodes, re-encodes it.
+fn reencode_blob(frame: &[u8]) -> Option<Vec<u8>> {
+    let (blob, update, version) = Blob::decode_update(bytes::Bytes::from(frame.to_vec())).ok()?;
+    Some(
+        blob.encode_update_into(version, &update, Vec::new())
+            .to_vec(),
+    )
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Every control-plane message round-trips under both codecs, and the
-    /// sniffing decoder reports the version that was used.
+    /// Every control-plane message round-trips.
     #[test]
-    fn control_messages_roundtrip_under_both_codecs(msg in control_msg()) {
-        for version in [WireVersion::V1Json, WireVersion::V2Binary] {
-            let frame = Envelope::new(version, msg.clone()).encode();
-            let decoded = Envelope::decode(msg.kind(), &frame)
-                .expect("well-formed frame decodes");
-            prop_assert_eq!(decoded.version, version);
-            prop_assert_eq!(&decoded.msg, &msg, "version {:?}", version);
-        }
+    fn control_messages_roundtrip(msg in control_msg()) {
+        let frame = msg.encode();
+        let decoded = ControlMsg::decode(msg.kind(), &frame).expect("well-formed frame decodes");
+        prop_assert_eq!(&decoded, &msg);
     }
 
     /// Binary frames are canonical: decode followed by re-encode
     /// reproduces the exact bytes.
     #[test]
     fn binary_frames_are_byte_exact(msg in control_msg()) {
-        let frame = Envelope::new(WireVersion::V2Binary, msg.clone()).encode();
-        let decoded = Envelope::decode(msg.kind(), &frame).unwrap();
-        let reencoded = Envelope::new(WireVersion::V2Binary, decoded.msg).encode();
-        prop_assert_eq!(&reencoded[..], &frame[..]);
+        let frame = msg.encode();
+        let decoded = ControlMsg::decode(msg.kind(), &frame).unwrap();
+        prop_assert_eq!(&decoded.encode()[..], &frame[..]);
     }
 
-    /// Cross-codec negotiation: whatever two peers advertise, the chosen
-    /// version is supported by both, and a legacy peer (proto ≤ 1) always
-    /// lands on JSON v1.
+    /// No field is optional: every strict prefix of a valid control frame,
+    /// and of a valid blob metadata header, is refused.
     #[test]
-    fn negotiation_is_mutual_and_falls_back(peer in 0u8..=255) {
-        let chosen = WireVersion::negotiate(peer);
-        prop_assert!(chosen <= WireVersion::LATEST);
-        if peer <= 1 {
-            prop_assert_eq!(chosen, WireVersion::V1Json);
-        } else {
-            prop_assert_eq!(chosen, WireVersion::V2Binary);
+    fn every_strict_prefix_is_refused(msg in control_msg(), blob in blob_msg()) {
+        let (blob, update) = blob;
+        let frame = msg.encode();
+        for cut in 0..frame.len() {
+            prop_assert!(ControlMsg::decode(msg.kind(), &frame[..cut]).is_err(), "cut at {}", cut);
         }
-        // The chosen version must round-trip a representative message.
-        let msg = ControlMsg::Reply(SessionReply::new("ok", chosen));
-        let frame = Envelope::new(chosen, msg.clone()).encode();
-        prop_assert_eq!(Envelope::decode(MsgKind::Reply, &frame).unwrap().msg, msg);
+        let frame = blob.encode_update(&update);
+        let meta_len = u32::from_be_bytes(frame[..4].try_into().unwrap()) as usize;
+        let (meta, params) = frame[4..].split_at(meta_len);
+        for cut in 0..meta_len {
+            let short = [&(cut as u32).to_be_bytes()[..], &meta[..cut], params].concat();
+            prop_assert!(reencode_blob(&short).is_none(), "meta cut at {}", cut);
+        }
+        for cut in 0..4 + meta_len {
+            prop_assert!(reencode_blob(&frame[..cut]).is_none(), "frame cut at {}", cut);
+        }
     }
 
-    /// The decoder never panics on arbitrary bytes, under either codec
-    /// entry point.
+    /// A flipped, truncated, extended or spliced frame of any kind, or
+    /// blob, is refused or decodes to a value that re-encodes to exactly
+    /// the mangled bytes. Never a panic.
+    #[test]
+    fn mangled_frames_are_refused_or_canonical(
+        msg in control_msg(),
+        other in control_msg(),
+        blob in blob_msg(),
+        kind in 0u8..4,
+        at in any::<u32>(),
+        byte in any::<u8>(),
+        tail in prop::collection::vec(any::<u8>(), 1..12),
+    ) {
+        let (blob, update) = blob;
+        let other = other.encode();
+        let frame = mangle(&msg.encode(), &other, kind, at, byte, &tail);
+        for expected in CONTROL_KINDS {
+            if let Ok(decoded) = ControlMsg::decode(expected, &frame) {
+                prop_assert_eq!(decoded.kind(), expected);
+                prop_assert_eq!(&decoded.encode()[..], &frame[..]);
+            }
+        }
+        let frame = mangle(&blob.encode_update(&update), &other, kind, at, byte, &tail);
+        if let Some(reencoded) = reencode_blob(&frame) {
+            prop_assert_eq!(reencoded, frame);
+        }
+    }
+
+    /// The decoder never panics on arbitrary bytes, whatever kind it
+    /// expects.
     #[test]
     fn decode_never_panics(bytes in prop::collection::vec(any::<u8>(), 0..256)) {
-        for kind in [MsgKind::NewSession, MsgKind::Join, MsgKind::RoundDone,
-                     MsgKind::Ctrl, MsgKind::Reply, MsgKind::Contrib] {
-            let _ = Envelope::decode(kind, &bytes);
+        for kind in CONTROL_KINDS.into_iter().chain([MsgKind::BlobMeta]) {
+            let _ = ControlMsg::decode(kind, &bytes);
         }
         let _ = Blob::decode(bytes::Bytes::from(bytes.clone()));
     }
 
-    /// Blobs round-trip under both metadata versions and report the
-    /// version used, so relays can echo it.
+    /// Blobs round-trip with their update-codec metadata.
     #[test]
-    fn blob_metadata_roundtrips(
-        sid in wire_id(),
-        sender in "[a-z0-9_]{1,12}",
-        round in 1u32..10_000,
-        weight in 1u64..1_000_000,
-        params in prop::collection::vec(any::<u8>(), 0..4096),
-    ) {
-        let blob = Blob {
-            session_id: SessionId::new(sid).unwrap(),
-            round,
-            sender,
-            weight,
-            params: bytes::Bytes::from(params),
-        };
-        for version in [WireVersion::V1Json, WireVersion::V2Binary] {
-            let (decoded, got) = Blob::decode_versioned(blob.encode(version)).unwrap();
-            prop_assert_eq!(&decoded, &blob);
-            prop_assert_eq!(got, version);
-        }
-        // Binary metadata is never larger than JSON metadata.
-        prop_assert!(
-            blob.encode(WireVersion::V2Binary).len() <= blob.encode(WireVersion::V1Json).len()
-        );
+    fn blob_metadata_roundtrips(blob in blob_msg()) {
+        let (blob, update) = blob;
+        let (decoded, got, version) = Blob::decode_update(blob.encode_update(&update)).unwrap();
+        prop_assert_eq!(&decoded, &blob);
+        prop_assert_eq!(got, update);
+        prop_assert_eq!(version, WireVersion::LATEST);
     }
 }

@@ -5,6 +5,10 @@
 //! are poisoned (label-flipped training) — one of the framework's
 //! modular-aggregation extension points.
 //!
+//! It exits non-zero unless the label skew rises strictly from IID
+//! through shrinking Dirichlet concentrations to two-class shards, and
+//! both aggregators beat 50 % test accuracy (chance is 10 %).
+//!
 //! ```text
 //! cargo run --release --example noniid_robust_aggregation
 //! ```
@@ -25,23 +29,22 @@ fn main() {
 
     // --- Partition skew comparison -----------------------------------
     println!("label skew by partitioner (0 = IID, 1 = single-class):");
+    let skew = |parts: &[Vec<usize>]| partition::label_skew(&train_ds.labels, parts);
     let iid = partition::iid(train_ds.len(), CLIENTS, SAMPLES_PER_CLIENT, 1);
-    println!(
-        "  iid            {:.3}",
-        partition::label_skew(&train_ds.labels, &iid)
-    );
-    let shards = partition::shards(&train_ds.labels, CLIENTS, 2, 1);
-    println!(
-        "  shards (2/cli) {:.3}",
-        partition::label_skew(&train_ds.labels, &shards)
-    );
+    let mut skews = vec![("iid".to_owned(), skew(&iid))];
     for alpha in [10.0, 0.5, 0.1] {
         let d = partition::dirichlet(&train_ds.labels, CLIENTS, alpha, 1);
-        println!(
-            "  dirichlet({alpha:<4}) {:.3}",
-            partition::label_skew(&train_ds.labels, &d)
-        );
+        skews.push((format!("dirichlet({alpha})"), skew(&d)));
     }
+    let shards = partition::shards(&train_ds.labels, CLIENTS, 2, 1);
+    skews.push(("shards (2/cli)".to_owned(), skew(&shards)));
+    for (name, value) in &skews {
+        println!("  {name:<15} {value:.3}");
+    }
+    assert!(
+        skews.windows(2).all(|pair| pair[0].1 < pair[1].1),
+        "label skew must rise strictly in the order printed: {skews:?}"
+    );
 
     // --- Robust aggregation under poisoning --------------------------
     // Each client trains one local round; POISONED clients train on
@@ -88,5 +91,11 @@ fn main() {
         model.set_params(&aggregated);
         let acc = evaluate(&model, &test_x, &test_ds.labels);
         println!("  {:<12} {:.2}%", method.name(), acc * 100.0);
+        assert!(
+            acc > 0.5,
+            "{} must beat 50 % accuracy, got {:.2}%",
+            method.name(),
+            acc * 100.0
+        );
     }
 }

@@ -4,7 +4,7 @@
 
 use sdflmq::core::{
     ClientId, Coordinator, CoordinatorConfig, ModelId, ParamServer, PreferredRole, SdflmqClient,
-    SdflmqClientConfig, SessionId, Topology, WaitOutcome, WireVersion,
+    SdflmqClientConfig, SessionId, Topology, WaitOutcome,
 };
 use sdflmq_mqtt::{Broker, BrokerConfig};
 use sdflmq_mqttfc::BatchConfig;
@@ -121,11 +121,11 @@ fn central_session_fedavg_two_rounds() {
 }
 
 #[test]
-fn wire_negotiation_lands_on_binary_and_session_completes() {
+fn a_session_completes_over_the_binary_control_plane() {
     let broker = broker();
     let (_coord, _ps) = infra(&broker, Topology::Central);
 
-    let session = SessionId::new("e2e-wire-v2").unwrap();
+    let session = SessionId::new("e2e-binary").unwrap();
     let model = ModelId::new("toy").unwrap();
 
     let creator = client(&broker, "neg-a", 1);
@@ -147,12 +147,8 @@ fn wire_negotiation_lands_on_binary_and_session_completes() {
         .join_fl_session(&session, &model, PreferredRole::Any, 100)
         .unwrap();
 
-    // Both sides implement v2, so the join replies negotiate binary; the
-    // round below then runs entirely over binary control frames and blob
+    // The round below runs entirely over binary control frames and blob
     // metadata on the real broker.
-    assert_eq!(creator.wire_version(&session), Some(WireVersion::V2Binary));
-    assert_eq!(joiner.wire_version(&session), Some(WireVersion::V2Binary));
-
     let mut handles = Vec::new();
     for (c, local) in [(creator, vec![1.0f32, 3.0]), (joiner, vec![3.0f32, 5.0])] {
         let s = session.clone();

@@ -7,7 +7,7 @@
 
 use bytes::Bytes;
 use sdflmq::core::messages::{Blob, UpdateMeta};
-use sdflmq::core::{SessionId, UpdateCodec, WireVersion};
+use sdflmq::core::{SessionId, UpdateCodec};
 use sdflmq::mqttfc::batching::split;
 use sdflmq::mqttfc::compress::{compress, compress_auto, MODE_LZSS, MODE_RAW};
 use sdflmq::mqttfc::{BatchConfig, PushResult, Reassembler};
@@ -49,7 +49,7 @@ fn update_blob(codec: UpdateCodec, local: &[f32], base: &[f32]) -> Vec<u8> {
         weight: 256,
         params: Bytes::from(params),
     }
-    .encode_update(WireVersion::LATEST, &meta)
+    .encode_update(&meta)
     .to_vec()
 }
 
