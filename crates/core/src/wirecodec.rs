@@ -627,6 +627,59 @@ mod tests {
         }
     }
 
+    // The next three names predate the single binary codec; each now
+    // checks the one codec that is left.
+    #[test]
+    fn both_codecs_roundtrip_join() {
+        let msg = ControlMsg::Join(join_request());
+        let frame = msg.encode();
+        assert_eq!(ControlMsg::decode(MsgKind::Join, &frame).unwrap(), msg);
+    }
+
+    #[test]
+    fn ctrl_variants_roundtrip_both_codecs() {
+        let session = SessionId::new("s3").unwrap();
+        let msgs = [
+            CtrlMsg::SetRole(RoleSpec {
+                role: Role::TrainerAggregator,
+                position: Some(Position::Agg(2)),
+                parent: Position::Root,
+                expected_inputs: 4,
+                round: 2,
+                data_codec: 3,
+            }),
+            CtrlMsg::ResetRole,
+            CtrlMsg::RoundStart { round: 7 },
+            CtrlMsg::SessionComplete,
+            CtrlMsg::Abort("timeout".into()),
+            CtrlMsg::Evicted {
+                reason: "missed 2 consecutive rounds".into(),
+            },
+        ];
+        for msg in msgs {
+            let wrapped = ControlMsg::Ctrl {
+                session: session.clone(),
+                msg,
+            };
+            let frame = wrapped.encode();
+            let decoded = ControlMsg::decode(MsgKind::Ctrl, &frame).unwrap();
+            assert_eq!(decoded, wrapped);
+        }
+    }
+
+    #[test]
+    fn contrib_roundtrips_both_codecs() {
+        let msg = ControlMsg::Contrib(ContribMsg {
+            session_id: SessionId::new("s4").unwrap(),
+            client_id: ClientId::new("c7").unwrap(),
+            round: 3,
+        });
+        let frame = msg.encode();
+        assert_eq!(ControlMsg::decode(MsgKind::Contrib, &frame).unwrap(), msg);
+        // Kind guard: a contrib frame is not a round_done frame.
+        assert!(is_protocol(ControlMsg::decode(MsgKind::RoundDone, &frame)));
+    }
+
     #[test]
     fn binary_reencode_is_byte_identical() {
         let frame = ControlMsg::RoundDone(round_done()).encode();
