@@ -5,15 +5,19 @@
 //! receivers is determined by subscription, not by function registry. This
 //! channel reuses the MQTTFC batching layer (split → CRC-checked chunks →
 //! reassemble) on arbitrary topics.
+//!
+//! On the send side a parameter byte is copied once: into its chunk frame,
+//! straight from the blob's `params` (the metadata header is framed
+//! beside them, not joined to them). The chunk frames then travel to every
+//! receiver as shared payloads. On the receive side a multi-chunk
+//! transfer is concatenated once before it is decoded.
 
-use crate::bufpool::BufferPool;
 use crate::error::Result;
 use crate::messages::{Blob, UpdateMeta};
-use crate::wirecodec::WireVersion;
 use bytes::Bytes;
 use parking_lot::Mutex;
 use sdflmq_mqtt::{Client, QoS, TopicFilter, TopicName};
-use sdflmq_mqttfc::batching::{split, BatchConfig, PushResult, Reassembler};
+use sdflmq_mqttfc::batching::{split_prefixed, BatchConfig, PushResult, Reassembler};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -33,9 +37,6 @@ pub struct BlobChannel {
     next_transfer: Arc<AtomicU64>,
     dropped: Arc<AtomicU64>,
     copied: Arc<AtomicU64>,
-    /// Recycles frame-encode buffers across publishes (steady-state
-    /// rounds re-encode into the previous round's reclaimed storage).
-    pool: Arc<BufferPool>,
 }
 
 impl BlobChannel {
@@ -48,7 +49,6 @@ impl BlobChannel {
             next_transfer: Arc::new(AtomicU64::new(1)),
             dropped: Arc::new(AtomicU64::new(0)),
             copied: Arc::new(AtomicU64::new(0)),
-            pool: BufferPool::new(),
         }
     }
 
@@ -58,12 +58,6 @@ impl BlobChannel {
     /// deliver zero-copy slices of the received frames and add nothing.
     pub fn copied_bytes(&self) -> u64 {
         self.copied.load(Ordering::Relaxed)
-    }
-
-    /// The channel's frame-buffer pool (see [`BufferPool::counters`] for
-    /// the allocation-reuse counters).
-    pub fn buffer_pool(&self) -> &Arc<BufferPool> {
-        &self.pool
     }
 
     /// Transfers this endpoint received but could not deliver: corrupt
@@ -84,17 +78,13 @@ impl BlobChannel {
         blob: &Blob,
         update: &UpdateMeta,
     ) -> Result<()> {
-        // Encode into a pooled buffer; once the frames (which carry their
-        // own copies of the body) are published, or have failed to be,
-        // nothing else holds the frame buffer, so lending it back lets
-        // the next publish reclaim the allocation.
-        let encoded = blob.encode_update_into(WireVersion::LATEST, update, self.pool.take_bytes());
+        // The chunks carry `header ++ params`, framed from the two parts:
+        // the blob is never encoded into a buffer of its own.
+        let header = blob.encode_header(update);
         let transfer_id = self.transfer_base ^ self.next_transfer.fetch_add(1, Ordering::Relaxed);
-        let frames = split(&encoded, transfer_id, &self.batch);
+        let frames = split_prefixed(&header, &blob.params, transfer_id, &self.batch);
         let frames = frames.into_iter().map(|frame| (topic, frame));
-        let published = self.client.publish_all(frames, QOS, false);
-        self.pool.lend(encoded);
-        Ok(published?)
+        Ok(self.client.publish_all(frames, QOS, false)?)
     }
 
     /// Subscribes to `filter` (wildcards allowed), invoking `handler` for
@@ -178,6 +168,7 @@ mod tests {
     use crate::ids::SessionId;
     use crossbeam::channel::bounded;
     use sdflmq_mqtt::{Broker, ClientOptions};
+    use sdflmq_mqttfc::batching::split;
     use std::time::Duration;
 
     fn channel(broker: &Broker, id: &str) -> BlobChannel {
@@ -295,39 +286,6 @@ mod tests {
         let got = rx.recv_timeout(Duration::from_secs(5)).unwrap();
         assert_eq!(got, sent);
         assert_eq!(rx_chan.copied_bytes(), 0, "receive path must be zero-copy");
-    }
-
-    #[test]
-    fn publish_reuses_pooled_frame_buffers() {
-        let broker = Broker::start_default();
-        let tx_chan = channel(&broker, "txp");
-        let topic = TopicName::new("params/pool").unwrap();
-        let sent = blob(vec![3u8; 20_000]);
-        publish(&tx_chan, &topic, &sent).unwrap();
-        let (fresh_after_first, _) = tx_chan.buffer_pool().counters();
-        for _ in 0..5 {
-            publish(&tx_chan, &topic, &sent).unwrap();
-        }
-        let (fresh, reused) = tx_chan.buffer_pool().counters();
-        assert_eq!(
-            fresh, fresh_after_first,
-            "steady-state publishes must not allocate new frame buffers"
-        );
-        assert_eq!(reused, 5);
-    }
-
-    #[test]
-    fn a_failed_publish_still_returns_its_frame_buffer() {
-        let broker = Broker::start_default();
-        let tx_chan = channel(&broker, "txf");
-        tx_chan.client().disconnect().unwrap();
-        let topic = TopicName::new("params/fail").unwrap();
-        let sent = blob(vec![4u8; 20_000]);
-        for _ in 0..4 {
-            assert!(publish(&tx_chan, &topic, &sent).is_err());
-        }
-        // One allocation, then the failed publishes' buffers come back.
-        assert_eq!(tx_chan.buffer_pool().counters(), (1, 3));
     }
 
     #[test]

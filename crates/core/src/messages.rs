@@ -197,24 +197,33 @@ impl Blob {
     }
 
     /// Like [`Blob::encode_update`], but reusing `buf` as the backing
-    /// storage (cleared first) so steady-state senders can recycle frame
-    /// buffers through a [`crate::bufpool::BufferPool`]. Byte-identical
-    /// to [`Blob::encode_update`]. There is one metadata version, so
-    /// `_version` is always [`WireVersion::LATEST`].
+    /// storage (cleared first). Byte-identical to [`Blob::encode_update`].
+    /// There is one metadata version, so `_version` is always
+    /// [`WireVersion::LATEST`].
     pub fn encode_update_into(
         &self,
         _version: WireVersion,
         update: &UpdateMeta,
         mut buf: Vec<u8>,
     ) -> Bytes {
-        let meta = encode_blob_meta(self, update);
+        let header = self.encode_header(update);
         buf.clear();
-        buf.reserve(4 + meta.len() + self.params.len());
+        buf.reserve(header.len() + self.params.len());
         let mut out = BytesMut::from(buf);
-        out.put_u32(meta.len() as u32);
-        out.put_slice(&meta);
+        out.put_slice(&header);
         out.put_slice(&self.params);
         out.freeze()
+    }
+
+    /// The encoded blob up to its parameters: u32 meta length + binary
+    /// metadata. `header ++ params` is [`Blob::encode_update`], so a
+    /// sender can frame the two parts without joining them.
+    pub fn encode_header(&self, update: &UpdateMeta) -> Vec<u8> {
+        let meta = encode_blob_meta(self, update);
+        let mut header = Vec::with_capacity(4 + meta.len());
+        header.put_u32(meta.len() as u32);
+        header.put_slice(&meta);
+        header
     }
 
     /// Decodes from bytes produced by [`Blob::encode`].
@@ -307,6 +316,18 @@ mod tests {
         let recycled = vec![0xAAu8; 256];
         let pooled = blob.encode_update_into(WireVersion::LATEST, &update, recycled);
         assert_eq!(&pooled[..], &plain[..]);
+    }
+
+    #[test]
+    fn header_then_params_is_the_encoded_blob() {
+        let blob = blob(vec![8u8; 300]);
+        let update = UpdateMeta {
+            codec: 1,
+            elems: 150,
+            delta_base: 0,
+        };
+        let joined = [&blob.encode_header(&update)[..], &blob.params[..]].concat();
+        assert_eq!(&joined[..], &blob.encode_update(&update)[..]);
     }
 
     #[test]

@@ -8,12 +8,11 @@
 //! and one teardown in `shard`.
 
 use super::ConnId;
-use crate::codec;
+use crate::codec::Frame;
 use crate::reactor::{Poller, WriteScheduler};
-use crate::transport::{FrameReceiver, FrameSender, TcpOutbound, TryRecv};
-use bytes::Bytes;
+use crate::transport::{FrameReader, FrameReceiver, FrameSender, TcpOutbound, TryRecv};
 use std::collections::VecDeque;
-use std::io::{self, IoSlice, Read, Write};
+use std::io::{self, IoSlice, Write};
 use std::net::TcpStream;
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -98,18 +97,21 @@ impl Transport {
     }
 }
 
+/// Frames gathered into one `writev`.
+const FRAMES_PER_WRITE: usize = 32;
+
 /// Reactor-side state of one TCP connection: the nonblocking socket, its
 /// partial-frame read buffer, and the in-progress write queue.
 pub(super) struct TcpConn {
     stream: TcpStream,
     /// Accumulated unparsed bytes (partial frames survive here between
     /// readiness events, and across a migration).
-    rbuf: Vec<u8>,
+    rbuf: FrameReader,
     /// Outbound queue shared with every routing shard's [`FrameSender`].
     out: Arc<TcpOutbound>,
     /// Frames drained from `out` and currently being written.
-    writing: VecDeque<Bytes>,
-    /// Bytes of `writing.front()` already written.
+    writing: VecDeque<Frame>,
+    /// Bytes of `writing.front()` (head, then body) already written.
     wr_off: usize,
     /// True while the poller watches this socket for writability.
     want_write: bool,
@@ -129,7 +131,7 @@ impl TcpConn {
         let _ = stream.set_nodelay(true);
         Ok(TcpConn {
             stream,
-            rbuf: Vec::new(),
+            rbuf: FrameReader::default(),
             out: TcpOutbound::new(conn, hwm, sched),
             writing: VecDeque::new(),
             wr_off: 0,
@@ -141,13 +143,11 @@ impl TcpConn {
     /// EOF or a read error (the caller closes the connection after
     /// processing what arrived).
     pub(super) fn fill(&mut self) -> bool {
-        let mut chunk = [0u8; 16384];
         let mut total = 0usize;
         loop {
-            match self.stream.read(&mut chunk) {
+            match self.rbuf.read_from(&mut self.stream) {
                 Ok(0) => return true,
                 Ok(n) => {
-                    self.rbuf.extend_from_slice(&chunk[..n]);
                     total += n;
                     // Yield to other connections after 1 MiB; the
                     // level-triggered poller re-reports readiness.
@@ -163,22 +163,20 @@ impl TcpConn {
     }
 
     /// Pops the next complete frame off the read buffer. TCP frames are
-    /// single packets (framed by [`codec::frame_length`]).
+    /// single packets (framed by [`crate::codec::frame_length`]).
     fn next_frame(&mut self) -> TryRecv {
-        match codec::frame_length(&self.rbuf) {
-            Ok(Some(len)) if self.rbuf.len() >= len => {
-                let bytes: Vec<u8> = self.rbuf.drain(..len).collect();
-                TryRecv::Frame(Bytes::from(bytes))
-            }
-            Ok(_) => TryRecv::Empty,
+        match self.rbuf.next_frame() {
+            Ok(Some(frame)) => TryRecv::Frame(Frame::from(frame)),
+            Ok(None) => TryRecv::Empty,
             Err(_) => TryRecv::Closed,
         }
     }
 
-    /// Drains the outbound queue to the socket with vectored writes. On
-    /// `WouldBlock` the poller starts watching writability. Returns false
-    /// when the connection must close: the queue crossed the
-    /// slow-consumer watermark, or the socket is gone.
+    /// Drains the outbound queue to the socket with vectored writes, up
+    /// to [`FRAMES_PER_WRITE`] frames (head and body as separate slices)
+    /// per call. On `WouldBlock` the poller starts watching writability.
+    /// Returns false when the connection must close: the queue crossed
+    /// the slow-consumer watermark, or the socket is gone.
     pub(super) fn flush(&mut self, poller: &mut Poller, conn: ConnId) -> bool {
         self.out.begin_flush();
         self.out.drain_into(&mut self.writing);
@@ -188,13 +186,15 @@ impl TcpConn {
         let fd = self.stream.as_raw_fd();
         while !self.writing.is_empty() {
             let res = {
-                let mut slices: Vec<IoSlice<'_>> = Vec::with_capacity(32.min(self.writing.len()));
-                let mut iter = self.writing.iter();
-                if let Some(first) = iter.next() {
-                    slices.push(IoSlice::new(&first[self.wr_off..]));
-                }
-                for b in iter.take(31) {
-                    slices.push(IoSlice::new(b));
+                let frames = FRAMES_PER_WRITE.min(self.writing.len());
+                let mut slices: Vec<IoSlice<'_>> = Vec::with_capacity(2 * frames);
+                for (i, frame) in self.writing.iter().take(frames).enumerate() {
+                    let from = if i == 0 { self.wr_off } else { 0 };
+                    for part in frame.parts_from(from) {
+                        if !part.is_empty() {
+                            slices.push(IoSlice::new(part));
+                        }
+                    }
                 }
                 self.stream.write_vectored(&slices)
             };

@@ -21,7 +21,8 @@
 //! — no lock is held while matching — and delivers:
 //!
 //! * QoS 0 to a live subscriber: the frame is encoded **once** per
-//!   outgoing (QoS, retain) variant and the same `Bytes` is pushed
+//!   outgoing (QoS, retain) variant and the same frame — a small head
+//!   plus the publisher's payload `Bytes` as its body — is pushed
 //!   straight into every subscriber's
 //!   [`FrameSender`](crate::transport::FrameSender), regardless of which
 //!   shard owns the subscriber;
@@ -79,6 +80,7 @@ mod shard;
 #[cfg(test)]
 mod tests;
 
+use crate::codec::Frame;
 use crate::error::{MqttError, Result};
 use crate::fault::FaultPlan;
 use crate::index::{ClientKey, SharedIndex};
@@ -180,7 +182,7 @@ enum Event {
         conn: ConnId,
         transport: Transport,
         connect: Box<Connect>,
-        rest: Bytes,
+        rest: Frame,
     },
     ConnClosed(ConnId),
     /// Cross-shard delivery hops, coalesced per target shard (the fault

@@ -15,7 +15,7 @@
 
 use super::route::TimerEntry;
 use super::{BrokerConfig, ConnId, Delivery, ShardHandle, BRIDGE_PREFIX};
-use crate::codec;
+use crate::codec::{self, Frame};
 use crate::error::ConnectReturnCode;
 use crate::fault::FaultState;
 use crate::index::{ClientKey, SharedIndex};
@@ -24,7 +24,6 @@ use crate::persist::{recovery, PersistStore, WalRecord};
 use crate::session::{InflightOut, Session};
 use crate::stats::BrokerCounters;
 use crate::transport::FrameSender;
-use bytes::Bytes;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::atomic::Ordering;
@@ -172,19 +171,17 @@ impl ShardProto {
 
     /// Decodes and handles every packet in one frame. Stops early when a
     /// packet closes the connection; undecodable bytes close it too.
-    pub(super) fn on_frame(&mut self, conn: ConnId, frame: Bytes, now: Instant) {
+    pub(super) fn on_frame(&mut self, conn: ConnId, mut frame: Frame, now: Instant) {
         self.now = now;
-        let mut rest = frame;
         loop {
-            let Ok((packet, used)) = codec::decode(&rest) else {
+            let Ok(packet) = codec::decode_frame(&mut frame) else {
                 self.close_conn(conn);
                 return;
             };
             self.on_packet(conn, packet);
-            if !self.conns.contains_key(&conn) || used >= rest.len() {
+            if !self.conns.contains_key(&conn) || frame.is_empty() {
                 return;
             }
-            rest = rest.slice(used..);
         }
     }
 

@@ -79,8 +79,8 @@ impl Rig {
                     TryRecv::Frame(frame) if self.proto.has_conn(conn) => {
                         self.proto.on_frame(conn, frame, self.now);
                     }
-                    TryRecv::Frame(frame) => match codec::decode(&frame) {
-                        Ok((Packet::Connect(c), _)) => {
+                    TryRecv::Frame(mut frame) => match codec::decode_frame(&mut frame) {
+                        Ok(Packet::Connect(c)) => {
                             self.proto.on_connect(conn, tx.clone(), c, self.now);
                         }
                         other => panic!("first frame must be CONNECT, got {other:?}"),

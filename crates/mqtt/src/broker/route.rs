@@ -1,11 +1,12 @@
 //! Routing and fan-out of the protocol core: matching a publish against
 //! the [`SharedIndex`](crate::index::SharedIndex) snapshot, the fault
 //! gate, encode-once delivery to live subscribers, cross-shard hops, the
-//! offline queue, and the fault-delay timers.
+//! offline queue, and the fault-delay timers. Every delivery shares the
+//! publish payload as its frame body: only frame heads are encoded.
 
 use super::proto::ShardProto;
 use super::{ConnId, Delivery, Event};
-use crate::codec::{self, PublishTemplate};
+use crate::codec::{self, Frame, PublishTemplate};
 use crate::fault::{FaultVerdict, PendingDelivery};
 use crate::index::{ClientKey, RetainedDelta, RouteEntry};
 use crate::packet::*;
@@ -44,14 +45,14 @@ impl Ord for TimerEntry {
     }
 }
 
-/// Per-publish encode-once frame cache: QoS 0 frames are shared `Bytes`
+/// Per-publish encode-once frame cache: QoS 0 frames are shared whole
 /// (no packet id), QoS 1/2 frames share a [`PublishTemplate`] and stamp
-/// each subscriber's packet id into a copy. Keyed by the retain flag,
-/// which differs only for bridge subscribers.
+/// each subscriber's packet id into a copy of its head. Keyed by the
+/// retain flag, which differs only for bridge subscribers.
 struct FanoutFrames {
     topic: TopicName,
     payload: Bytes,
-    qos0: [Option<Bytes>; 2],
+    qos0: [Option<Frame>; 2],
     /// `[qos1 | qos2][retain]`
     templates: [[Option<PublishTemplate>; 2]; 2],
 }
@@ -74,13 +75,13 @@ impl FanoutFrames {
 
     /// The shared QoS 0 frame for this publish, or `None` when the payload
     /// was rewritten (caller encodes a one-off frame).
-    fn qos0_frame(&mut self, retain: bool, payload: &Bytes) -> Option<Bytes> {
+    fn qos0_frame(&mut self, retain: bool, payload: &Bytes) -> Option<Frame> {
         if !self.cacheable(payload) {
             return None;
         }
         let slot = &mut self.qos0[usize::from(retain)];
         if slot.is_none() {
-            *slot = codec::encode(&Packet::Publish(Publish {
+            *slot = codec::encode_frame(&Packet::Publish(Publish {
                 dup: false,
                 qos: QoS::AtMostOnce,
                 retain,
@@ -268,7 +269,7 @@ impl ShardProto {
     /// * live + QoS 0 → encode-once shared frame pushed straight into the
     ///   subscriber's sender, from whichever shard is routing;
     /// * live + QoS 1/2 on this shard → packet id allocated against the
-    ///   local session, frame stamped from the shared template;
+    ///   local session, head stamped from the shared template;
     /// * anything else (other shard's session, or offline) → one hop to
     ///   the owner shard's mailbox.
     fn dispatch(&mut self, entry: &RouteEntry, d: Delivery, frames: Option<&mut FanoutFrames>) {
@@ -276,7 +277,7 @@ impl ShardProto {
             (Some(conn), Some(sender)) if d.qos == QoS::AtMostOnce => {
                 let frame = match frames.and_then(|f| f.qos0_frame(d.retain, &d.payload)) {
                     Some(shared) => Some(shared),
-                    None => codec::encode(&Packet::Publish(Publish {
+                    None => codec::encode_frame(&Packet::Publish(Publish {
                         dup: false,
                         qos: QoS::AtMostOnce,
                         retain: d.retain,
@@ -294,7 +295,7 @@ impl ShardProto {
                 // frame, the counter must already reflect it.
                 BrokerCounters::bump(&self.counters.publishes_out);
                 BrokerCounters::add(&self.counters.payload_bytes_out, d.payload.len() as u64);
-                if sender.send_frame(frame).is_err() {
+                if sender.send(frame).is_err() {
                     // The peer vanished mid-delivery; tell the owner shard
                     // so it can tear the connection down.
                     self.handles[entry.shard].send(Event::ConnClosed(*conn));
@@ -439,7 +440,7 @@ impl ShardProto {
                         let send_failed = self
                             .conns
                             .get(&conn_id)
-                            .map(|c| c.sender.send_frame(frame).is_err())
+                            .map(|c| c.sender.send(frame).is_err())
                             .unwrap_or(false);
                         if send_failed {
                             self.close_conn(conn_id);

@@ -12,7 +12,7 @@
 use super::conn::Transport;
 use super::proto::ShardProto;
 use super::{shard_of, BrokerConfig, ConnId, Event, ShardHandle};
-use crate::codec;
+use crate::codec::{self, Frame};
 use crate::error::ConnectReturnCode;
 use crate::index::SharedIndex;
 use crate::packet::{Connack, Connect, LastWill, Packet};
@@ -21,7 +21,6 @@ use crate::reactor::{PollEvent, Poller, WakeReceiver, WriteScheduler, WAKE_TOKEN
 use crate::session::Session;
 use crate::stats::BrokerCounters;
 use crate::transport::{FrameSender, TryRecv};
-use bytes::Bytes;
 use crossbeam::channel::{Receiver, TryRecvError};
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
@@ -251,7 +250,7 @@ impl Shard {
 
     /// One inbound frame: protocol traffic once the core knows the
     /// connection, the CONNECT gate before that.
-    fn on_frame(&mut self, conn: ConnId, frame: Bytes, now: Instant) {
+    fn on_frame(&mut self, conn: ConnId, frame: Frame, now: Instant) {
         if self.proto.has_conn(conn) {
             self.proto.on_frame(conn, frame, now);
             self.reap();
@@ -263,13 +262,13 @@ impl Shard {
     /// The CONNECT gate: the first frame of a parked connection either
     /// registers it here, migrates it to its owner shard, or gets the
     /// protocol violator dropped.
-    fn gate_connect(&mut self, conn: ConnId, frame: Bytes, now: Instant) {
+    fn gate_connect(&mut self, conn: ConnId, mut frame: Frame, now: Instant) {
         // Any other packet before CONNECT is a protocol violation.
-        let Ok((Packet::Connect(connect), used)) = codec::decode(&frame) else {
+        let Ok(Packet::Connect(connect)) = codec::decode_frame(&mut frame) else {
             self.drop_gated(conn);
             return;
         };
-        let rest = frame.slice(used..);
+        let rest = frame;
         let Some(sender) = self.transports.get(&conn).map(Transport::sender) else {
             return;
         };
@@ -315,7 +314,7 @@ impl Shard {
         conn: ConnId,
         sender: FrameSender,
         connect: Connect,
-        rest: Bytes,
+        rest: Frame,
         now: Instant,
     ) {
         self.proto.on_connect(conn, sender, connect, now);

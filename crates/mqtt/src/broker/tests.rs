@@ -3,6 +3,7 @@
 //! pinned in `proto_tests` instead.
 
 use super::*;
+use crate::codec;
 use crate::error::ConnectReturnCode;
 use crate::fault::FaultRule;
 use crate::topic::TopicFilter;
@@ -542,8 +543,9 @@ fn fanout_order_is_sorted_by_client_id() {
 #[test]
 fn qos0_fanout_shares_one_encoded_frame() {
     // Encode-once: all QoS0 subscribers of one publish receive the
-    // exact same frame bytes (shared `Bytes`), and payload counters
-    // reflect every delivery.
+    // exact same frame (one shared head, and the publisher's payload
+    // allocation as the body), and payload counters reflect every
+    // delivery.
     let broker = Broker::start_default();
     let subs: Vec<RawClient> = (0..5)
         .map(|i| {
@@ -553,19 +555,22 @@ fn qos0_fanout_shares_one_encoded_frame() {
         })
         .collect();
     let publ = RawClient::connect(&broker, "pub", true);
-    publ.publish("enc", b"shared-bytes", QoS::AtMostOnce, false);
-    let frames: Vec<Bytes> = subs
+    let payload = Bytes::from(b"shared-bytes".to_vec());
+    publ.link
+        .send_packet(&Packet::Publish(Publish::simple(
+            TopicName::new("enc").unwrap(),
+            payload.clone(),
+        )))
+        .unwrap();
+    let frames: Vec<Frame> = subs
         .iter()
-        .map(|s| {
-            s.link
-                .recv_frame_timeout(Duration::from_secs(5))
-                .expect("frame")
-        })
+        .map(|s| s.link.recv_timeout(Duration::from_secs(5)).expect("frame"))
         .collect();
-    for f in &frames[1..] {
-        assert_eq!(&f[..], &frames[0][..]);
+    for f in &frames {
+        assert_eq!(f, &frames[0]);
         // The shim's Bytes shares one allocation across clones.
-        assert_eq!(f.as_ptr(), frames[0].as_ptr(), "frame allocation is shared");
+        assert_eq!(f.head.as_ptr(), frames[0].head.as_ptr(), "one shared head");
+        assert_eq!(f.body.as_ptr(), payload.as_ptr(), "the publisher's body");
     }
     assert_eq!(
         broker.stats().payload_bytes_out,
@@ -588,7 +593,7 @@ fn eventually(what: &str, cond: impl Fn() -> bool) {
 fn frame_of(packets: &[Packet]) -> Bytes {
     let mut bytes = Vec::new();
     for p in packets {
-        bytes.extend_from_slice(&crate::codec::encode(p).unwrap());
+        bytes.extend_from_slice(&codec::encode(p).unwrap());
     }
     Bytes::from(bytes)
 }
@@ -727,4 +732,214 @@ fn frames_and_hangups_racing_a_link_migration_are_not_lost() {
         broker.stats().connections_current == 0
     });
     assert_eq!(broker.stats().connections_total, 800);
+}
+
+// ------------------------------------------------------------------
+// The frame path: payloads are shared, bytes on the wire unchanged
+// ------------------------------------------------------------------
+
+/// The first `prefix-<n>` client id that shard `shard` of `shards` owns.
+fn id_on(prefix: &str, shard: usize, shards: usize) -> String {
+    (0..)
+        .map(|n| format!("{prefix}-{n}"))
+        .find(|id| shard_of(id, shards) == shard)
+        .unwrap()
+}
+
+/// Publishes `payload` itself (not a copy) and completes the publisher's
+/// side of the QoS handshake.
+fn publish_shared(publ: &RawClient, topic: &str, payload: &Bytes, qos: QoS, retain: bool) {
+    publ.link
+        .send_packet(&Packet::Publish(Publish {
+            dup: false,
+            qos,
+            retain,
+            topic: TopicName::new(topic).unwrap(),
+            packet_id: (qos != QoS::AtMostOnce).then_some(9),
+            payload: payload.clone(),
+        }))
+        .unwrap();
+    match qos {
+        QoS::AtMostOnce => {}
+        QoS::AtLeastOnce => assert_eq!(publ.recv(), Packet::Puback(9)),
+        QoS::ExactlyOnce => {
+            assert_eq!(publ.recv(), Packet::Pubrec(9));
+            publ.link.send_packet(&Packet::Pubrel(9)).unwrap();
+            assert_eq!(publ.recv(), Packet::Pubcomp(9));
+        }
+    }
+}
+
+/// The next PUBLISH frame a subscriber receives, and what it decodes to.
+fn recv_delivery(sub: &RawClient) -> (Frame, Publish) {
+    let frame = sub.link.recv_timeout(Duration::from_secs(30)).unwrap();
+    match codec::decode_frame(&mut frame.clone()).unwrap() {
+        Packet::Publish(p) => (frame, p),
+        other => panic!("expected a publish, got {other:?}"),
+    }
+}
+
+fn model_payload() -> Bytes {
+    Bytes::from((0..64 * 1024).map(|i| (i % 251) as u8).collect::<Vec<u8>>())
+}
+
+const QOS_ALL: [QoS; 3] = [QoS::AtMostOnce, QoS::AtLeastOnce, QoS::ExactlyOnce];
+
+#[test]
+fn every_delivery_shares_the_publishers_payload() {
+    let broker = sharded(2);
+    let payload = model_payload();
+    let same = |got: &Publish, what: &str| {
+        assert_eq!(got.payload, payload, "{what}");
+        assert_eq!(got.payload.as_ptr(), payload.as_ptr(), "{what}: copied");
+    };
+    // One subscriber per (granted QoS, shard); the publisher is on shard 0.
+    let subs: Vec<(RawClient, QoS)> = QOS_ALL
+        .iter()
+        .flat_map(|&qos| (0..2).map(move |shard| (qos, shard)))
+        .map(|(qos, shard)| {
+            let c =
+                RawClient::connect(&broker, &id_on(&format!("zc{}", qos as u8), shard, 2), true);
+            c.subscribe("zc/live", qos);
+            (c, qos)
+        })
+        .collect();
+    let publ = RawClient::connect(&broker, &id_on("zc-pub", 0, 2), true);
+    for qos in QOS_ALL {
+        publish_shared(&publ, "zc/live", &payload, qos, false);
+        for (sub, granted) in &subs {
+            let (_, got) = recv_delivery(sub);
+            assert_eq!(got.qos, qos.min(*granted));
+            same(&got, &format!("live QoS {qos:?} → {granted:?}"));
+        }
+    }
+    drop(subs);
+
+    // A retained message replayed to a later subscriber on either shard.
+    publish_shared(&publ, "zc/retained", &payload, QoS::AtLeastOnce, true);
+    for shard in 0..2 {
+        let late = RawClient::connect(&broker, &id_on("zc-late", shard, 2), true);
+        late.subscribe("zc/retained", QoS::AtLeastOnce);
+        let (_, got) = recv_delivery(&late);
+        assert!(got.retain);
+        same(&got, &format!("retained replay on shard {shard}"));
+    }
+
+    // The offline queue of a parked session on either shard, replayed
+    // when it reconnects.
+    eventually("only the publisher connected", || {
+        broker.stats().connections_current == 1
+    });
+    let parked: Vec<String> = (0..2).map(|shard| id_on("zc-parked", shard, 2)).collect();
+    for id in &parked {
+        RawClient::connect(&broker, id, false).subscribe("zc/queued", QoS::AtLeastOnce);
+    }
+    eventually("parked sessions offline", || {
+        broker.stats().connections_current == 1
+    });
+    publish_shared(&publ, "zc/queued", &payload, QoS::AtLeastOnce, false);
+    eventually("both queued", || broker.stats().queued_current == 2);
+    for id in &parked {
+        let back = RawClient::connect(&broker, id, false);
+        let (_, got) = recv_delivery(&back);
+        same(&got, &format!("offline replay to {id}"));
+    }
+}
+
+/// Reads one whole MQTT packet's bytes off a socket.
+fn read_packet_bytes(stream: &mut std::net::TcpStream) -> Vec<u8> {
+    use std::io::Read;
+    let mut bytes = vec![0u8; 2];
+    stream.read_exact(&mut bytes).unwrap();
+    let len = loop {
+        if let Some(len) = codec::frame_length(&bytes).unwrap() {
+            break len;
+        }
+        let mut more = [0u8; 1];
+        stream.read_exact(&mut more).unwrap();
+        bytes.push(more[0]);
+    };
+    let have = bytes.len();
+    bytes.resize(len, 0);
+    stream.read_exact(&mut bytes[have..]).unwrap();
+    bytes
+}
+
+#[test]
+fn deliveries_are_the_encoded_packet_byte_for_byte() {
+    use std::io::Write;
+    let broker = sharded(2);
+    let addr = broker.listen("127.0.0.1:0").unwrap();
+    let payload = model_payload();
+    let topic = TopicName::new("pin/egress").unwrap();
+    let filter = || vec![(TopicFilter::new("pin/egress").unwrap(), QoS::ExactlyOnce)];
+    // What a subscriber granted `granted` must receive, given the packet
+    // id its session allocated.
+    let expected = |granted: QoS, got: &Publish| {
+        codec::encode(&Packet::Publish(Publish {
+            dup: false,
+            qos: granted,
+            retain: false,
+            topic: topic.clone(),
+            packet_id: (granted != QoS::AtMostOnce).then(|| got.packet_id.unwrap()),
+            payload: payload.clone(),
+        }))
+        .unwrap()
+    };
+
+    let mut links = Vec::new();
+    let mut sockets = Vec::new();
+    for qos in QOS_ALL {
+        for shard in 0..2 {
+            let c =
+                RawClient::connect(&broker, &id_on(&format!("pl{}", qos as u8), shard, 2), true);
+            c.subscribe("pin/egress", qos);
+            links.push((c, qos));
+
+            let mut s = std::net::TcpStream::connect(addr).unwrap();
+            s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+            let mut filters = filter();
+            filters[0].1 = qos;
+            for p in [
+                connect_packet(&id_on(&format!("pt{}", qos as u8), shard, 2)),
+                Packet::Subscribe(Subscribe {
+                    packet_id: 1,
+                    filters,
+                }),
+            ] {
+                s.write_all(&codec::encode(&p).unwrap()).unwrap();
+            }
+            let connack = Packet::Connack(Connack {
+                session_present: false,
+                code: ConnectReturnCode::Accepted,
+            });
+            assert_eq!(
+                read_packet_bytes(&mut s),
+                codec::encode(&connack).unwrap().to_vec()
+            );
+            let suback = Packet::Suback(Suback {
+                packet_id: 1,
+                return_codes: vec![SubackCode::Granted(qos)],
+            });
+            assert_eq!(
+                read_packet_bytes(&mut s),
+                codec::encode(&suback).unwrap().to_vec()
+            );
+            sockets.push((s, qos));
+        }
+    }
+    let publ = RawClient::connect(&broker, &id_on("pin-pub", 0, 2), true);
+    publish_shared(&publ, "pin/egress", &payload, QoS::ExactlyOnce, false);
+
+    for (sub, granted) in &links {
+        let (frame, got) = recv_delivery(sub);
+        assert_eq!(frame.join(), expected(*granted, &got), "link, {granted:?}");
+    }
+    for (s, granted) in &mut sockets {
+        let bytes = read_packet_bytes(s);
+        let Packet::Publish(got) = codec::decode(&Bytes::from(bytes.clone())).unwrap().0 else {
+            panic!("expected a publish");
+        };
+        assert_eq!(bytes, expected(*granted, &got).to_vec(), "tcp, {granted:?}");
+    }
 }

@@ -202,9 +202,8 @@ impl Client {
         }))?;
         // Handshake runs synchronously before the reader thread exists.
         let connack = loop {
-            let frame = receiver.recv_frame_timeout(options.response_timeout)?;
-            let (packet, _) = codec::decode(&frame)?;
-            match packet {
+            let mut frame = receiver.recv_timeout(options.response_timeout)?;
+            match codec::decode_frame(&mut frame)? {
                 Packet::Connack(c) => break c,
                 _ => continue,
             }
@@ -272,7 +271,7 @@ impl Client {
             .spawn(move || {
                 let mut receiver = receiver;
                 loop {
-                    let frame = match receiver.recv_frame() {
+                    let mut frame = match receiver.recv() {
                         Ok(f) => f,
                         Err(_) => {
                             let Some(inner) = reader_inner.upgrade() else {
@@ -292,13 +291,11 @@ impl Client {
                     let Some(inner) = reader_inner.upgrade() else {
                         return;
                     };
-                    let mut rest: Bytes = frame;
-                    while let Ok((packet, used)) = codec::decode(&rest) {
+                    while let Ok(packet) = codec::decode_frame(&mut frame) {
                         Self::handle_packet(&inner, packet);
-                        if used >= rest.len() {
+                        if frame.is_empty() {
                             break;
                         }
-                        rest = rest.slice(used..);
                     }
                 }
             })
@@ -329,9 +326,8 @@ impl Client {
                     will: inner.will.clone(),
                 }))?;
                 let connack = loop {
-                    let frame = receiver.recv_frame_timeout(inner.response_timeout)?;
-                    let (packet, _) = codec::decode(&frame)?;
-                    match packet {
+                    let mut frame = receiver.recv_timeout(inner.response_timeout)?;
+                    match codec::decode_frame(&mut frame)? {
                         Packet::Connack(c) => break c,
                         _ => continue,
                     }
@@ -757,8 +753,8 @@ mod tests {
             .unwrap();
         let answerer = std::thread::spawn(move || {
             let mut seen = 0;
-            while let Ok(frame) = far_rx.recv_frame() {
-                if let Ok((Packet::Publish(p), _)) = codec::decode(&frame) {
+            while let Ok(mut frame) = far_rx.recv() {
+                if let Ok(Packet::Publish(p)) = codec::decode_frame(&mut frame) {
                     seen += 1;
                     if seen != 3 {
                         far_tx
@@ -799,7 +795,7 @@ mod tests {
             }))
             .unwrap();
         let client = Client::connect_link(near, ClientOptions::new(id)).unwrap();
-        let connect = codec::decode(&far_rx.recv_frame().unwrap()).unwrap().0;
+        let connect = codec::decode_frame(&mut far_rx.recv().unwrap()).unwrap();
         assert!(matches!(connect, Packet::Connect(_)));
         (client, far_tx, far_rx)
     }
@@ -811,9 +807,7 @@ mod tests {
         for qos in [QoS::AtMostOnce, QoS::AtLeastOnce, QoS::ExactlyOnce] {
             assert_eq!(client.publish_all(none.clone(), qos, false), Ok(()));
         }
-        assert!(far_rx
-            .recv_frame_timeout(Duration::from_millis(50))
-            .is_err());
+        assert!(far_rx.recv_timeout(Duration::from_millis(50)).is_err());
         assert_eq!(client.inner.pending_pub.lock().len(), 0);
     }
 
@@ -825,14 +819,14 @@ mod tests {
         // last PUBCOMP until the test releases it.
         let answerer = std::thread::spawn(move || {
             let mut completed = 0;
-            while let Ok(frame) = far_rx.recv_frame() {
-                match codec::decode(&frame) {
-                    Ok((Packet::Publish(p), _)) => {
+            while let Ok(mut frame) = far_rx.recv() {
+                match codec::decode_frame(&mut frame) {
+                    Ok(Packet::Publish(p)) => {
                         far_tx
                             .send_packet(&Packet::Pubrec(p.packet_id.unwrap()))
                             .unwrap();
                     }
-                    Ok((Packet::Pubrel(id), _)) => {
+                    Ok(Packet::Pubrel(id)) => {
                         completed += 1;
                         if completed == 4 {
                             release_rx.recv().unwrap();
@@ -885,9 +879,7 @@ mod tests {
         }
         let sent = client.publish_all((0..5u8).map(|i| (&t, vec![i])), QoS::AtLeastOnce, false);
         assert_eq!(sent, Err(MqttError::PacketIdsExhausted));
-        assert!(far_rx
-            .recv_frame_timeout(Duration::from_millis(50))
-            .is_err());
+        assert!(far_rx.recv_timeout(Duration::from_millis(50)).is_err());
         // Every waiter left is one of the originals: each still feeds
         // the channel it was registered with.
         let pending = client.inner.pending_pub.lock();
@@ -911,8 +903,8 @@ mod tests {
             }))
             .unwrap();
         let answerer = std::thread::spawn(move || {
-            while let Ok(frame) = far_rx.recv_frame() {
-                if let Ok((Packet::Publish(p), _)) = codec::decode(&frame) {
+            while let Ok(mut frame) = far_rx.recv() {
+                if let Ok(Packet::Publish(p)) = codec::decode_frame(&mut frame) {
                     let id = p.packet_id.unwrap();
                     for _ in 0..2 {
                         far_tx.send_packet(&Packet::Pubrec(id)).unwrap();

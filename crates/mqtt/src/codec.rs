@@ -4,7 +4,9 @@
 //!
 //! The codec is allocation-conscious: encoding reserves the exact frame size
 //! up front, and decoding slices payload bytes out of the input `Bytes`
-//! without copying.
+//! without copying. Links, sockets and the broker's fan-out move packets
+//! as two-part [`Frame`]s, so a PUBLISH payload is shared from the
+//! publisher's `Bytes` to every subscriber's decoder and never copied.
 
 use crate::error::{ConnectReturnCode, MqttError, Result};
 use crate::packet::*;
@@ -145,6 +147,14 @@ fn encode_connect(c: &Connect, buf: &mut BytesMut) -> Result<()> {
 }
 
 fn encode_publish(p: &Publish, buf: &mut BytesMut) -> Result<()> {
+    encode_publish_head(p, buf)?;
+    buf.put_slice(&p.payload);
+    Ok(())
+}
+
+/// Writes a PUBLISH's fixed and variable header: everything before the
+/// payload.
+fn encode_publish_head(p: &Publish, buf: &mut BytesMut) -> Result<()> {
     let mut first = 0x30u8;
     if p.dup {
         first |= 0x08;
@@ -166,7 +176,6 @@ fn encode_publish(p: &Publish, buf: &mut BytesMut) -> Result<()> {
             .ok_or(MqttError::Malformed("QoS>0 publish without packet id"))?;
         buf.put_u16(id);
     }
-    buf.put_slice(&p.payload);
     Ok(())
 }
 
@@ -218,21 +227,129 @@ fn encode_unsubscribe(u: &Unsubscribe, buf: &mut BytesMut) -> Result<()> {
 }
 
 // ---------------------------------------------------------------------------
-// Encode-once publish frames
+// Two-part frames
 // ---------------------------------------------------------------------------
 
-/// A pre-encoded QoS>0 PUBLISH frame with a patchable packet-id slot.
+/// One encoded packet on its way over a link or a socket: `head ++ body`
+/// are its bytes on the wire.
 ///
-/// The broker's fanout path encodes a publish **once per outgoing QoS** and
-/// then stamps each subscriber's session-allocated packet id into a copy of
-/// the shared frame — one `memcpy` plus a two-byte patch per delivery
-/// instead of a full field-by-field re-encode. (QoS 0 frames carry no
-/// packet id, so they are shared as-is without a template.)
+/// A PUBLISH travels as two parts: the head is its fixed header, topic and
+/// packet id, and the body is the publish payload's own `Bytes`, shared
+/// rather than copied. Every other packet is head-only (an empty body),
+/// and a head-only frame may hold several packets back to back, as a
+/// socket read or a pipelining peer delivers them.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Frame {
+    /// Everything before the payload (the whole frame when head-only).
+    pub head: Bytes,
+    /// A PUBLISH payload, or empty.
+    pub body: Bytes,
+}
+
+impl Frame {
+    /// Bytes on the wire.
+    pub fn len(&self) -> usize {
+        self.head.len() + self.body.len()
+    }
+
+    /// True when no bytes are left.
+    pub fn is_empty(&self) -> bool {
+        self.head.is_empty() && self.body.is_empty()
+    }
+
+    /// The frame's bytes from offset `from` on, as (at most) two slices:
+    /// what a vectored write has left to send.
+    pub fn parts_from(&self, from: usize) -> [&[u8]; 2] {
+        let in_head = from.min(self.head.len());
+        [&self.head[in_head..], &self.body[from - in_head..]]
+    }
+
+    /// The frame as one contiguous `Bytes`: free for a one-part frame, a
+    /// copy of both parts otherwise.
+    pub fn join(self) -> Bytes {
+        if self.body.is_empty() {
+            return self.head;
+        }
+        let mut buf = BytesMut::with_capacity(self.len());
+        buf.put_slice(&self.head);
+        buf.put_slice(&self.body);
+        buf.freeze()
+    }
+}
+
+impl From<Bytes> for Frame {
+    /// A head-only frame: already-encoded packets, back to back.
+    fn from(head: Bytes) -> Frame {
+        Frame {
+            head,
+            body: Bytes::new(),
+        }
+    }
+}
+
+/// Encodes a packet as a [`Frame`]: a PUBLISH's head is freshly encoded
+/// and its payload is shared as the body; any other packet is head-only.
+/// `frame.head ++ frame.body` equals [`encode`] of the same packet.
+pub fn encode_frame(packet: &Packet) -> Result<Frame> {
+    let Packet::Publish(p) = packet else {
+        return encode(packet).map(Frame::from);
+    };
+    let mut head = BytesMut::with_capacity(7 + p.topic.as_str().len());
+    encode_publish_head(p, &mut head)?;
+    Ok(Frame {
+        head: head.freeze(),
+        body: p.payload.clone(),
+    })
+}
+
+/// Decodes the first packet of `frame` and leaves what follows it there,
+/// so callers loop until the frame is empty.
+///
+/// A head-only frame decodes like [`decode`]. A two-part frame must be
+/// exactly one PUBLISH: its head one PUBLISH header (fixed header, topic,
+/// packet id, and nothing after them) whose remaining length counts the
+/// rest of the head plus the whole body. The payload is the body itself,
+/// not a copy.
+pub fn decode_frame(frame: &mut Frame) -> Result<Packet> {
+    if frame.body.is_empty() {
+        let (packet, used) = decode(&frame.head)?;
+        frame.head.advance(used);
+        return Ok(packet);
+    }
+    let Frame { head, body } = std::mem::take(frame);
+    let mut cur = head;
+    if cur.remaining() < 2 {
+        return Err(MqttError::UnexpectedEof);
+    }
+    let first = cur.get_u8();
+    if first >> 4 != 3 {
+        return Err(MqttError::Malformed("a two-part frame must be a PUBLISH"));
+    }
+    let remaining = decode_remaining_length(&mut cur)?;
+    if remaining != cur.remaining() + body.len() {
+        return Err(MqttError::Malformed("two-part frame length mismatch"));
+    }
+    let mut publish = decode_publish(first & 0x0F, &mut cur)?;
+    if !publish.payload.is_empty() {
+        return Err(MqttError::Malformed(
+            "two-part frame head runs past its header",
+        ));
+    }
+    publish.payload = body;
+    Ok(Packet::Publish(publish))
+}
+
+/// A pre-encoded QoS>0 PUBLISH with a patchable packet-id slot.
+///
+/// The broker's fanout path encodes a publish head **once per outgoing
+/// QoS** and then stamps each subscriber's session-allocated packet id
+/// into a copy of that head, sharing the payload as the body: a copy of a
+/// few dozen bytes per delivery instead of a full re-encode. (QoS 0 frames
+/// carry no packet id, so they are shared as-is without a template.)
 #[derive(Debug, Clone)]
 pub struct PublishTemplate {
-    frame: Bytes,
-    /// Byte offset of the big-endian u16 packet id inside `frame`.
-    id_offset: usize,
+    /// The publish with packet id 0: its head ends with the id slot.
+    frame: Frame,
 }
 
 impl PublishTemplate {
@@ -244,30 +361,21 @@ impl PublishTemplate {
             return Err(MqttError::Malformed("QoS 0 publishes need no template"));
         }
         let mut stamped = p.clone();
-        stamped.packet_id = Some(stamped.packet_id.unwrap_or(0));
-        let frame = encode(&Packet::Publish(stamped))?;
-        let remaining = 2 + p.topic.as_str().len() + 2 + p.payload.len();
-        // Fixed header = 1 type byte + the remaining-length varint; the
-        // variable header starts with the 2-byte topic length prefix.
-        let id_offset = 1 + varint_len(remaining) + 2 + p.topic.as_str().len();
-        Ok(PublishTemplate { frame, id_offset })
+        stamped.packet_id = Some(0);
+        let frame = encode_frame(&Packet::Publish(stamped))?;
+        Ok(PublishTemplate { frame })
     }
 
-    /// Returns a frame with `id` stamped into the packet-id slot.
-    pub fn with_packet_id(&self, id: PacketId) -> Bytes {
-        let mut buf = self.frame.to_vec();
-        buf[self.id_offset..self.id_offset + 2].copy_from_slice(&id.to_be_bytes());
-        Bytes::from(buf)
-    }
-}
-
-/// Number of bytes the remaining-length varint occupies for `len`.
-fn varint_len(len: usize) -> usize {
-    match len {
-        0..=127 => 1,
-        128..=16_383 => 2,
-        16_384..=2_097_151 => 3,
-        _ => 4,
+    /// Returns a frame with `id` stamped into the packet-id slot. Only the
+    /// head is copied; the body shares the payload.
+    pub fn with_packet_id(&self, id: PacketId) -> Frame {
+        let mut head = self.frame.head.to_vec();
+        let slot = head.len() - 2;
+        head[slot..].copy_from_slice(&id.to_be_bytes());
+        Frame {
+            head: Bytes::from(head),
+            body: self.frame.body.clone(),
+        }
     }
 }
 
@@ -297,7 +405,7 @@ pub fn decode(frame: &Bytes) -> Result<(Packet, usize)> {
     let packet = match packet_type {
         1 => decode_connect(&mut body)?,
         2 => decode_connack(&mut body)?,
-        3 => decode_publish(flags, &mut body)?,
+        3 => Packet::Publish(decode_publish(flags, &mut body)?),
         4 => Packet::Puback(get_u16(&mut body)?),
         5 => Packet::Pubrec(get_u16(&mut body)?),
         6 => {
@@ -451,7 +559,7 @@ fn decode_connack(buf: &mut Bytes) -> Result<Packet> {
     }))
 }
 
-fn decode_publish(flags: u8, buf: &mut Bytes) -> Result<Packet> {
+fn decode_publish(flags: u8, buf: &mut Bytes) -> Result<Publish> {
     let dup = flags & 0x08 != 0;
     let retain = flags & 0x01 != 0;
     let qos = QoS::from_u8((flags >> 1) & 0x03).ok_or(MqttError::Malformed("QoS 3 is reserved"))?;
@@ -463,14 +571,14 @@ fn decode_publish(flags: u8, buf: &mut Bytes) -> Result<Packet> {
     };
     // Zero-copy: the payload is the rest of the body slice.
     let payload = buf.split_to(buf.remaining());
-    Ok(Packet::Publish(Publish {
+    Ok(Publish {
         dup,
         qos,
         retain,
         topic,
         packet_id,
         payload,
-    }))
+    })
 }
 
 fn decode_subscribe(buf: &mut Bytes) -> Result<Packet> {
@@ -584,15 +692,126 @@ mod tests {
                 };
                 let template = PublishTemplate::new(&p).unwrap();
                 for id in [1u16, 9, 0xBEEF, u16::MAX] {
-                    let frame = template.with_packet_id(id);
-                    let (decoded, used) = decode(&frame).unwrap();
-                    assert_eq!(used, frame.len());
+                    let mut frame = template.with_packet_id(id);
                     let mut expect = p.clone();
                     expect.packet_id = Some(id);
-                    assert_eq!(decoded, Packet::Publish(expect));
+                    let expect = Packet::Publish(expect);
+                    assert_eq!(frame.clone().join(), encode(&expect).unwrap());
+                    assert_eq!(frame.body.as_ptr(), p.payload.as_ptr());
+                    assert_eq!(decode_frame(&mut frame).unwrap(), expect);
+                    assert!(frame.is_empty());
                 }
             }
         }
+    }
+
+    fn publish(qos: QoS, payload: Vec<u8>) -> Publish {
+        Publish {
+            dup: qos == QoS::ExactlyOnce,
+            qos,
+            retain: qos == QoS::AtLeastOnce,
+            topic: TopicName::new("sdflmq/frame").unwrap(),
+            packet_id: (qos != QoS::AtMostOnce).then_some(77),
+            payload: Bytes::from(payload),
+        }
+    }
+
+    #[test]
+    fn two_part_frames_are_the_encoded_bytes_and_share_the_payload() {
+        for qos in [QoS::AtMostOnce, QoS::AtLeastOnce, QoS::ExactlyOnce] {
+            for size in [0usize, 1, 127, 128, 16_384, 70_000] {
+                let p = publish(qos, vec![0xC3; size]);
+                let packet = Packet::Publish(p.clone());
+                let mut frame = encode_frame(&packet).unwrap();
+                assert!(frame.head.len() < 300, "the head is a header");
+                assert_eq!(frame.len(), encode(&packet).unwrap().len());
+                let [a, b] = frame.parts_from(0);
+                assert_eq!([a, b].concat(), &encode(&packet).unwrap()[..]);
+                assert_eq!(frame.clone().join(), encode(&packet).unwrap());
+                let decoded = decode_frame(&mut frame).unwrap();
+                assert!(frame.is_empty());
+                let Packet::Publish(got) = &decoded else {
+                    panic!("expected a publish, got {decoded:?}");
+                };
+                if size > 0 {
+                    assert_eq!(got.payload.as_ptr(), p.payload.as_ptr(), "zero-copy");
+                }
+                assert_eq!(decoded, packet);
+            }
+        }
+        // Every other packet is head-only.
+        let frame = encode_frame(&Packet::Puback(3)).unwrap();
+        assert!(frame.body.is_empty());
+        assert_eq!(frame.head, encode(&Packet::Puback(3)).unwrap());
+    }
+
+    #[test]
+    fn parts_from_covers_every_offset() {
+        let frame = encode_frame(&Packet::Publish(publish(QoS::AtLeastOnce, vec![5; 40]))).unwrap();
+        let whole = frame.clone().join();
+        for off in 0..=frame.len() {
+            assert_eq!(frame.parts_from(off).concat(), &whole[off..]);
+        }
+    }
+
+    #[test]
+    fn head_only_frames_decode_back_to_back() {
+        let mut joined = BytesMut::new();
+        joined.put_slice(&encode(&Packet::Pingreq).unwrap());
+        joined.put_slice(
+            &encode(&Packet::Publish(publish(QoS::AtMostOnce, b"ab".to_vec()))).unwrap(),
+        );
+        joined.put_slice(&encode(&Packet::Puback(5)).unwrap());
+        let mut frame = Frame::from(joined.freeze());
+        assert_eq!(decode_frame(&mut frame).unwrap(), Packet::Pingreq);
+        assert!(matches!(
+            decode_frame(&mut frame).unwrap(),
+            Packet::Publish(_)
+        ));
+        assert_eq!(decode_frame(&mut frame).unwrap(), Packet::Puback(5));
+        assert!(frame.is_empty());
+    }
+
+    #[test]
+    fn decode_frame_refuses_malformed_two_part_frames() {
+        let body = Bytes::from_static(b"payload");
+        let p = publish(QoS::AtLeastOnce, body.to_vec());
+        let good = encode_frame(&Packet::Publish(p.clone())).unwrap();
+        let refused = |head: Bytes, body: Bytes| {
+            let mut frame = Frame { head, body };
+            decode_frame(&mut frame).is_err()
+        };
+        assert!(!refused(good.head.clone(), good.body.clone()));
+
+        // A head that is not a PUBLISH, even with a remaining length that
+        // would cover the body.
+        let mut puback = encode(&Packet::Puback(1)).unwrap().to_vec();
+        puback[1] = 2 + body.len() as u8;
+        assert!(refused(Bytes::from(puback), body.clone()));
+        assert!(refused(encode(&Packet::Pingreq).unwrap(), body.clone()));
+
+        // Remaining length one short of and one past head + body.
+        for delta in [-1i32, 1] {
+            let mut head = good.head.to_vec();
+            head[1] = (i32::from(head[1]) + delta) as u8;
+            assert!(refused(Bytes::from(head), body.clone()), "delta {delta}");
+        }
+        // A body that is not the one the header counted.
+        assert!(refused(good.head.clone(), Bytes::from_static(b"payloa")));
+
+        // A head that runs into the body: the topic length claims bytes
+        // that lie past the head (the remaining length still matches).
+        let mut head = good.head.to_vec();
+        head[3] += 4; // topic length low byte
+        assert!(refused(Bytes::from(head), body.clone()));
+
+        // A head that carries payload bytes of its own.
+        let mut head = good.head.to_vec();
+        head.push(b'p');
+        assert!(refused(Bytes::from(head), body.slice(1..)));
+        // ...which is fine once it is the whole packet, head-only.
+        let mut whole = Frame::from(encode(&Packet::Publish(p.clone())).unwrap());
+        assert_eq!(decode_frame(&mut whole).unwrap(), Packet::Publish(p));
     }
 
     #[test]

@@ -1,10 +1,12 @@
 //! Transport links: in-process frame pipes and TCP-backed senders.
 //!
-//! A [`LinkEnd`] pair is a bidirectional, ordered, reliable byte-frame
-//! pipe built from two crossbeam channels — the in-process stand-in for a
-//! TCP connection. Every frame that crosses a link is a complete MQTT
-//! packet encoded by [`crate::codec`], so the wire format is exercised
-//! end-to-end even though no sockets are involved.
+//! A [`LinkEnd`] pair is a bidirectional, ordered, reliable frame pipe
+//! built from two crossbeam channels — the in-process stand-in for a TCP
+//! connection. Every frame that crosses a link is a complete MQTT packet
+//! encoded by [`crate::codec`], so the wire format is exercised end-to-end
+//! even though no sockets are involved. Frames travel as
+//! [`Frame`]s: a PUBLISH payload rides as the frame's body, shared with
+//! the publisher rather than copied into a contiguous buffer.
 //!
 //! Since the reactor refactor the broker no longer spawns a reader thread
 //! per connection, so a link carries an optional **incoming-notify hook**
@@ -18,16 +20,17 @@
 //! [`FrameSender`] abstracts over the two broker-side send paths: an
 //! in-process channel half, or a `TcpOutbound` write queue flushed by
 //! the owner shard's reactor with vectored writes (see
-//! [`crate::reactor`]). Routing code treats both identically.
+//! [`crate::reactor`]), head and body as separate slices. Routing code
+//! treats both identically.
 
-use crate::codec;
+use crate::codec::{self, Frame};
 use crate::error::{MqttError, Result};
 use crate::packet::Packet;
 use crate::reactor::WriteScheduler;
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use std::collections::VecDeque;
-use std::io::{Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
@@ -117,8 +120,8 @@ impl Drop for DropNotify {
 /// reader thread owns the receive loop.
 #[derive(Clone)]
 pub struct LinkEnd {
-    tx: Sender<Bytes>,
-    rx: Receiver<Bytes>,
+    tx: Sender<Frame>,
+    rx: Receiver<Frame>,
     stats: Arc<LinkStats>,
     /// True for the A side (used to attribute stats direction).
     a_side: bool,
@@ -166,44 +169,54 @@ pub fn link() -> (LinkEnd, LinkEnd) {
 }
 
 impl LinkEnd {
-    /// Sends a raw frame.
-    pub fn send_frame(&self, frame: Bytes) -> Result<()> {
+    /// Sends one frame.
+    pub fn send(&self, frame: Frame) -> Result<()> {
         self.record_sent(frame.len());
         self.tx.send(frame).map_err(|_| MqttError::Disconnected)?;
         self.tx_notify.0.fire();
         Ok(())
     }
 
-    /// Encodes and sends one packet.
-    pub fn send_packet(&self, packet: &Packet) -> Result<()> {
-        self.send_frame(codec::encode(packet)?)
+    /// Sends raw bytes as a head-only frame: one or more encoded packets.
+    pub fn send_frame(&self, frame: Bytes) -> Result<()> {
+        self.send(Frame::from(frame))
     }
 
-    /// Receives one raw frame, blocking until available or the peer is gone.
-    pub fn recv_frame(&self) -> Result<Bytes> {
+    /// Encodes and sends one packet.
+    pub fn send_packet(&self, packet: &Packet) -> Result<()> {
+        self.send(codec::encode_frame(packet)?)
+    }
+
+    /// Receives one frame, blocking until available or the peer is gone.
+    pub fn recv(&self) -> Result<Frame> {
         self.rx.recv().map_err(|_| MqttError::Disconnected)
     }
 
-    /// Receives one raw frame with a timeout.
+    /// Receives one frame with a timeout.
+    pub fn recv_timeout(&self, timeout: Duration) -> Result<Frame> {
+        recv_timeout(&self.rx, timeout)
+    }
+
+    /// Receives one frame's bytes, blocking; a two-part frame is joined
+    /// into one buffer (a copy of its body).
+    pub fn recv_frame(&self) -> Result<Bytes> {
+        self.recv().map(Frame::join)
+    }
+
+    /// Receives one frame's bytes with a timeout, joined like
+    /// [`LinkEnd::recv_frame`].
     pub fn recv_frame_timeout(&self, timeout: Duration) -> Result<Bytes> {
-        self.rx.recv_timeout(timeout).map_err(|e| match e {
-            RecvTimeoutError::Timeout => MqttError::Timeout,
-            RecvTimeoutError::Disconnected => MqttError::Disconnected,
-        })
+        self.recv_timeout(timeout).map(Frame::join)
     }
 
     /// Receives and decodes one packet, blocking.
     pub fn recv_packet(&self) -> Result<Packet> {
-        let frame = self.recv_frame()?;
-        let (packet, _) = codec::decode(&frame)?;
-        Ok(packet)
+        codec::decode_frame(&mut self.recv()?)
     }
 
     /// Receives and decodes one packet with a timeout.
     pub fn recv_packet_timeout(&self, timeout: Duration) -> Result<Packet> {
-        let frame = self.recv_frame_timeout(timeout)?;
-        let (packet, _) = codec::decode(&frame)?;
-        Ok(packet)
+        codec::decode_frame(&mut self.recv_timeout(timeout)?)
     }
 
     /// Shared traffic counters for this link.
@@ -254,7 +267,7 @@ impl LinkEnd {
 enum SenderInner {
     /// In-process channel half.
     Link {
-        tx: Sender<Bytes>,
+        tx: Sender<Frame>,
         stats: Arc<LinkStats>,
         a_side: bool,
         notify: DropNotify,
@@ -313,8 +326,8 @@ impl FrameSender {
         }
     }
 
-    /// Sends a raw frame.
-    pub fn send_frame(&self, frame: Bytes) -> Result<()> {
+    /// Sends one frame.
+    pub fn send(&self, frame: Frame) -> Result<()> {
         match &self.inner {
             SenderInner::Link {
                 tx,
@@ -332,9 +345,14 @@ impl FrameSender {
         }
     }
 
+    /// Sends raw bytes as a head-only frame: one or more encoded packets.
+    pub fn send_frame(&self, frame: Bytes) -> Result<()> {
+        self.send(Frame::from(frame))
+    }
+
     /// Encodes and sends one packet.
     pub fn send_packet(&self, packet: &Packet) -> Result<()> {
-        self.send_frame(codec::encode(packet)?)
+        self.send(codec::encode_frame(packet)?)
     }
 
     /// Shared traffic counters for this connection.
@@ -348,13 +366,13 @@ impl FrameSender {
 
 /// Receive-only half of a link end.
 pub struct FrameReceiver {
-    rx: Receiver<Bytes>,
+    rx: Receiver<Frame>,
 }
 
 /// Outcome of a non-blocking frame pop.
 pub(crate) enum TryRecv {
     /// One frame was popped.
-    Frame(Bytes),
+    Frame(Frame),
     /// Nothing queued right now.
     Empty,
     /// Every peer send handle is gone and the queue is drained.
@@ -362,18 +380,15 @@ pub(crate) enum TryRecv {
 }
 
 impl FrameReceiver {
-    /// Receives one raw frame, blocking until available or the peer's send
+    /// Receives one frame, blocking until available or the peer's send
     /// half is fully dropped.
-    pub fn recv_frame(&self) -> Result<Bytes> {
+    pub fn recv(&self) -> Result<Frame> {
         self.rx.recv().map_err(|_| MqttError::Disconnected)
     }
 
-    /// Receives one raw frame with a timeout.
-    pub fn recv_frame_timeout(&self, timeout: Duration) -> Result<Bytes> {
-        self.rx.recv_timeout(timeout).map_err(|e| match e {
-            RecvTimeoutError::Timeout => MqttError::Timeout,
-            RecvTimeoutError::Disconnected => MqttError::Disconnected,
-        })
+    /// Receives one frame with a timeout.
+    pub fn recv_timeout(&self, timeout: Duration) -> Result<Frame> {
+        recv_timeout(&self.rx, timeout)
     }
 
     /// Frames queued right now.
@@ -392,6 +407,13 @@ impl FrameReceiver {
     }
 }
 
+fn recv_timeout(rx: &Receiver<Frame>, timeout: Duration) -> Result<Frame> {
+    rx.recv_timeout(timeout).map_err(|e| match e {
+        RecvTimeoutError::Timeout => MqttError::Timeout,
+        RecvTimeoutError::Disconnected => MqttError::Disconnected,
+    })
+}
+
 // ---------------------------------------------------------------------
 // TCP write queue
 // ---------------------------------------------------------------------
@@ -407,7 +429,7 @@ impl FrameReceiver {
 pub(crate) struct TcpOutbound {
     /// Connection id (doubles as the reactor token).
     conn: u64,
-    q: Mutex<VecDeque<Bytes>>,
+    q: Mutex<VecDeque<Frame>>,
     /// Bytes pushed but not yet written to the socket.
     queued_bytes: AtomicU64,
     /// Slow-consumer eviction watermark (bytes).
@@ -441,7 +463,7 @@ impl TcpOutbound {
     }
 
     /// Queues one frame and schedules a flush with the owner shard.
-    fn push(&self, frame: Bytes) -> Result<()> {
+    fn push(&self, frame: Frame) -> Result<()> {
         if self.closed.load(Ordering::Acquire) || self.evicted.load(Ordering::Acquire) {
             return Err(MqttError::Disconnected);
         }
@@ -463,7 +485,7 @@ impl TcpOutbound {
     }
 
     /// Moves all queued frames into the owner shard's write buffer.
-    pub(crate) fn drain_into(&self, out: &mut VecDeque<Bytes>) {
+    pub(crate) fn drain_into(&self, out: &mut VecDeque<Frame>) {
         let mut q = self.q.lock().expect("tcp outbound lock");
         out.extend(q.drain(..));
     }
@@ -521,23 +543,23 @@ pub fn tcp_link(addr: impl ToSocketAddrs) -> Result<LinkEnd> {
     std::thread::Builder::new()
         .name("tcp-link-rx".to_owned())
         .spawn(move || {
-            let mut rbuf: Vec<u8> = Vec::with_capacity(4096);
-            let mut chunk = [0u8; 16384];
+            let mut rbuf = FrameReader::default();
             let mut reader = reader;
             'read: loop {
-                match reader.read(&mut chunk) {
-                    Ok(0) | Err(_) => break,
-                    Ok(n) => rbuf.extend_from_slice(&chunk[..n]),
+                match rbuf.read_from(&mut reader) {
+                    Ok(0) => break,
+                    Ok(_) => {}
+                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                    Err(_) => break,
                 }
                 loop {
-                    match codec::frame_length(&rbuf) {
-                        Ok(Some(len)) if rbuf.len() >= len => {
-                            let frame: Vec<u8> = rbuf.drain(..len).collect();
-                            if pump_tx.send_frame(Bytes::from(frame)).is_err() {
+                    match rbuf.next_frame() {
+                        Ok(Some(frame)) => {
+                            if pump_tx.send_frame(frame).is_err() {
                                 break 'read;
                             }
                         }
-                        Ok(_) => break,
+                        Ok(None) => break,
                         Err(_) => break 'read,
                     }
                 }
@@ -551,8 +573,8 @@ pub fn tcp_link(addr: impl ToSocketAddrs) -> Result<LinkEnd> {
         .name("tcp-link-tx".to_owned())
         .spawn(move || {
             let mut stream = stream;
-            while let Ok(frame) = pump_rx.recv_frame() {
-                if stream.write_all(&frame).is_err() {
+            while let Ok(frame) = pump_rx.recv() {
+                if write_frame(&mut stream, &frame).is_err() {
                     break;
                 }
             }
@@ -561,6 +583,76 @@ pub fn tcp_link(addr: impl ToSocketAddrs) -> Result<LinkEnd> {
         .map_err(|_| MqttError::Disconnected)?;
 
     Ok(app_end)
+}
+
+/// Writes one frame, head and body together, with vectored writes (one,
+/// unless the socket takes less than the whole frame).
+fn write_frame(out: &mut impl Write, frame: &Frame) -> io::Result<()> {
+    let mut written = 0;
+    while written < frame.len() {
+        let [head, body] = frame.parts_from(written);
+        match out.write_vectored(&[IoSlice::new(head), IoSlice::new(body)]) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => written += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
+}
+
+// ---------------------------------------------------------------------
+// Stream read buffer
+// ---------------------------------------------------------------------
+
+/// Spare room guaranteed before each read.
+const READ_ROOM: usize = 16 * 1024;
+
+/// Accumulates a byte stream and pops the complete MQTT frames in it.
+///
+/// Reads land straight in the buffer. Frames are popped at a cursor, and
+/// the unread tail moves to the front once per read rather than once per
+/// frame, so popping is linear in the bytes buffered. Each popped frame is
+/// its own copy: a payload that is retained, queued or still being sent
+/// never pins the rest of a read.
+#[derive(Default)]
+pub(crate) struct FrameReader {
+    /// Zero-filled once as it grows; `start..end` is unread data.
+    buf: Vec<u8>,
+    start: usize,
+    end: usize,
+}
+
+impl FrameReader {
+    /// One read from `src` into the buffer. `Ok(0)` is end of stream.
+    pub(crate) fn read_from(&mut self, src: &mut impl Read) -> io::Result<usize> {
+        if self.start > 0 {
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
+            self.start = 0;
+        }
+        if self.buf.len() - self.end < READ_ROOM {
+            let grown = (self.end + READ_ROOM).max(2 * self.buf.len());
+            self.buf.resize(grown, 0);
+        }
+        let n = src.read(&mut self.buf[self.end..])?;
+        self.end += n;
+        Ok(n)
+    }
+
+    /// Pops the next complete frame, or `None` when more bytes are needed.
+    /// An error means no frame can start with the buffered bytes.
+    pub(crate) fn next_frame(&mut self) -> Result<Option<Bytes>> {
+        let unread = &self.buf[self.start..self.end];
+        match codec::frame_length(unread)? {
+            Some(len) if unread.len() >= len => {
+                let frame = Bytes::copy_from_slice(&unread[..len]);
+                self.start += len;
+                Ok(Some(frame))
+            }
+            _ => Ok(None),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -674,6 +766,92 @@ mod tests {
         assert_eq!(hits.load(Ordering::SeqCst), 1);
         drop(tx);
         assert!(hits.load(Ordering::SeqCst) >= 2);
+    }
+
+    /// A stream that hands out one scripted segment per read.
+    struct Segments(VecDeque<Vec<u8>>);
+
+    impl Read for Segments {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let Some(mut seg) = self.0.pop_front() else {
+                return Ok(0);
+            };
+            let n = seg.len().min(buf.len());
+            buf[..n].copy_from_slice(&seg[..n]);
+            if n < seg.len() {
+                self.0.push_front(seg.split_off(n));
+            }
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn frame_reader_pops_back_to_back_and_split_frames() {
+        let frames: Vec<Bytes> = (0..500u32)
+            .map(|i| {
+                let size = [0usize, 3, 200, 5_000][i as usize % 4];
+                codec::encode(&Packet::Publish(Publish::simple(
+                    TopicName::new(format!("t/{i}")).unwrap(),
+                    vec![i as u8; size],
+                )))
+                .unwrap()
+            })
+            .collect();
+        let big = codec::encode(&Packet::Publish(Publish::simple(
+            TopicName::new("big").unwrap(),
+            vec![0x5A; 100_000],
+        )))
+        .unwrap();
+        // One segment: 500 frames back to back, then the first 10 bytes of
+        // a frame the next segments finish (in pieces smaller than it).
+        let mut first: Vec<u8> = frames.iter().flat_map(|f| f.iter().copied()).collect();
+        first.extend_from_slice(&big[..10]);
+        let mut segments = VecDeque::from([first]);
+        segments.extend(big[10..].chunks(30_000).map(<[u8]>::to_vec));
+        let mut src = Segments(segments);
+
+        let mut reader = FrameReader::default();
+        let mut got = Vec::new();
+        while reader.read_from(&mut src).unwrap() > 0 {
+            while let Some(frame) = reader.next_frame().unwrap() {
+                got.push(frame);
+            }
+        }
+        assert_eq!(got.len(), frames.len() + 1);
+        assert_eq!(&got[..frames.len()], &frames[..]);
+        assert_eq!(got[frames.len()], big);
+        assert_eq!(reader.start, reader.end, "nothing left over");
+    }
+
+    #[test]
+    fn frame_reader_refuses_a_stream_no_frame_starts() {
+        let mut src = Segments(VecDeque::from([vec![0x30, 0xFF, 0xFF, 0xFF, 0xFF, 0x01]]));
+        let mut reader = FrameReader::default();
+        reader.read_from(&mut src).unwrap();
+        assert!(reader.next_frame().is_err());
+    }
+
+    #[test]
+    fn write_frame_finishes_partial_vectored_writes() {
+        /// Takes at most 7 bytes per call, from the first non-empty slice.
+        struct Trickle(Vec<u8>);
+        impl Write for Trickle {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                let n = buf.len().min(7);
+                self.0.extend_from_slice(&buf[..n]);
+                Ok(n)
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let packet = Packet::Publish(Publish::simple(
+            TopicName::new("a/b").unwrap(),
+            vec![9u8; 100],
+        ));
+        let mut out = Trickle(Vec::new());
+        write_frame(&mut out, &codec::encode_frame(&packet).unwrap()).unwrap();
+        assert_eq!(out.0, codec::encode(&packet).unwrap().to_vec());
     }
 
     #[test]

@@ -53,35 +53,46 @@ impl Default for BatchConfig {
     }
 }
 
-/// Splits `payload` into encoded chunk frames ready to publish.
-///
-/// The transfer body is `[MODE_RAW] ++ payload`, framed straight from
-/// `payload` with the tag written into chunk 0. Each chunk's data is
-/// checksummed once, and both the frame CRC and the whole-body
-/// `payload_crc` are derived from those sums. Receivers reverse all of it
-/// with [`Reassembler::push`].
+/// Splits `payload` into encoded chunk frames ready to publish: the
+/// one-part case of [`split_prefixed`].
 pub fn split(payload: &[u8], transfer_id: u64, config: &BatchConfig) -> Vec<Bytes> {
-    let head: &[u8] = &[MODE_RAW];
-    // Chunk `seq` covers body bytes [seq·chunk_size, (seq+1)·chunk_size);
-    // `parts` maps that range onto `head ++ payload`.
-    let body_len = head.len() + payload.len();
+    split_prefixed(&[], payload, transfer_id, config)
+}
+
+/// Splits `prefix ++ payload` into encoded chunk frames, byte for byte as
+/// [`split`] frames their concatenation, without building it: a sender
+/// with a header and a body frames both straight into the chunks, and
+/// each byte is copied once, into its chunk.
+///
+/// The transfer body is `[MODE_RAW] ++ prefix ++ payload`, with the tag
+/// written into chunk 0. Each chunk's data is checksummed once, and both
+/// the frame CRC and the whole-body `payload_crc` are derived from those
+/// sums. Receivers reverse all of it with [`Reassembler::push`].
+pub fn split_prefixed(
+    prefix: &[u8],
+    payload: &[u8],
+    transfer_id: u64,
+    config: &BatchConfig,
+) -> Vec<Bytes> {
+    let tag = [MODE_RAW];
+    let parts: [&[u8]; 3] = [&tag, prefix, payload];
+    // Chunk `seq` covers body bytes [seq·chunk_size, (seq+1)·chunk_size).
+    let body_len: usize = parts.iter().map(|p| p.len()).sum();
     let chunk_size = config.chunk_size.max(1);
     let total = body_len.div_ceil(chunk_size).max(1) as u32;
-    let parts = |seq: u32| -> [&[u8]; 2] {
+    let chunk = |seq: u32| {
         let start = seq as usize * chunk_size;
-        let end = (start + chunk_size).min(body_len);
-        let cut = |at: usize| at.saturating_sub(head.len());
-        [
-            &head[start.min(head.len())..end.min(head.len())],
-            &payload[cut(start)..cut(end)],
-        ]
+        window(parts, start, (start + chunk_size).min(body_len))
     };
     let mut data_crcs = Vec::with_capacity(total as usize);
     let mut payload_crc = 0;
     for seq in 0..total {
-        let [a, b] = parts(seq);
-        let crc = crc32_combine(crc32(a), crc32(b), b.len() as u64);
-        payload_crc = crc32_combine(payload_crc, crc, (a.len() + b.len()) as u64);
+        let pieces = chunk(seq);
+        let crc = pieces
+            .iter()
+            .fold(0, |acc, p| crc32_combine(acc, crc32(p), p.len() as u64));
+        let len = pieces.iter().map(|p| p.len()).sum::<usize>();
+        payload_crc = crc32_combine(payload_crc, crc, len as u64);
         data_crcs.push(crc);
     }
     (0..total)
@@ -91,11 +102,23 @@ pub fn split(payload: &[u8], transfer_id: u64, config: &BatchConfig) -> Vec<Byte
                 seq,
                 total,
                 payload_crc,
-                parts(seq),
+                &chunk(seq),
                 data_crcs[seq as usize],
             )
         })
         .collect()
+}
+
+/// Bytes `[start, end)` of `parts[0] ++ parts[1] ++ …`, as the piece of
+/// each part that falls inside the range (empty for the rest).
+fn window<const N: usize>(parts: [&[u8]; N], start: usize, end: usize) -> [&[u8]; N] {
+    let mut at = 0;
+    parts.map(|part| {
+        let clip = |x: usize| x.clamp(at, at + part.len()) - at;
+        let piece = &part[clip(start)..clip(end)];
+        at += part.len();
+        piece
+    })
 }
 
 /// Outcome of feeding one chunk to the reassembler.
@@ -310,6 +333,25 @@ mod tests {
         let payload: Vec<u8> = (0..100_000u32).map(|i| (i % 251) as u8).collect();
         roundtrip_with(&payload, &config(4096));
         roundtrip_with(&payload, &config(1)); // pathological chunk size
+    }
+
+    #[test]
+    fn split_prefixed_frames_the_concatenation_byte_for_byte() {
+        let bytes: Vec<u8> = (0..3000u32).map(|i| (i * 7 % 251) as u8).collect();
+        for chunk_size in [1usize, 2, 7, 64, 1000, 4096] {
+            for (prefix_len, payload_len) in
+                [(0, 0), (0, 5), (5, 0), (1, 1), (37, 2000), (999, 1001)]
+            {
+                let (prefix, payload) = (&bytes[..prefix_len], &bytes[prefix_len..][..payload_len]);
+                let cfg = config(chunk_size);
+                let joined = [prefix, payload].concat();
+                assert_eq!(
+                    split_prefixed(prefix, payload, 42, &cfg),
+                    split(&joined, 42, &cfg),
+                    "chunk {chunk_size}, prefix {prefix_len}, payload {payload_len}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -156,11 +156,14 @@ impl Json {
     }
 
     /// Parses a JSON document. The entire input must be consumed (modulo
-    /// trailing whitespace).
+    /// trailing whitespace). Arrays and objects nested deeper than
+    /// [`MAX_DEPTH`] are refused, so a hostile document cannot exhaust
+    /// the stack.
     pub fn parse(input: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.parse_value()?;
@@ -203,9 +206,14 @@ fn write_string(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// Deepest nesting of arrays and objects [`Json::parse`] accepts.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -248,8 +256,19 @@ impl<'a> Parser<'a> {
             Some(b't') => self.parse_lit("true", Json::Bool(true)),
             Some(b'f') => self.parse_lit("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::String(self.parse_string()?)),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err("nesting too deep"));
+                }
+                self.depth += 1;
+                let value = if open == b'[' {
+                    self.parse_array()
+                } else {
+                    self.parse_object()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(b'-' | b'0'..=b'9') => self.parse_number(),
             _ => Err(self.err("expected a JSON value")),
         }
@@ -463,6 +482,22 @@ mod tests {
         ]));
         roundtrip(&Json::Array(vec![]));
         roundtrip(&Json::Object(BTreeMap::new()));
+    }
+
+    #[test]
+    fn deep_nesting_is_refused_not_a_stack_overflow() {
+        // 20,000 open brackets used to recurse once each and abort the
+        // process with a stack overflow.
+        for open in ["[", "{\"k\":"] {
+            let doc = open.repeat(20_000);
+            let err = Json::parse(&doc).unwrap_err();
+            assert_eq!(err.message, "nesting too deep");
+            assert_eq!(err.offset, MAX_DEPTH * open.len());
+        }
+        // The limit itself still parses, one more level does not.
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&nested(MAX_DEPTH + 1)).is_err());
     }
 
     #[test]

@@ -244,7 +244,7 @@ impl Chunk {
             self.seq,
             self.total,
             self.payload_crc,
-            [&[], &self.data],
+            &[&self.data],
             crc32(&self.data),
         )
     }
@@ -301,18 +301,19 @@ impl Chunk {
 /// payload CRC, data length. A 4-byte frame CRC follows the data.
 const CHUNK_HEADER: usize = 24;
 
-/// Writes one chunk frame whose data is `data[0] ++ data[1]` and whose
-/// data CRC the caller already holds, so the frame CRC reads only the
-/// 24-byte header. Byte-identical to [`Chunk::encode`] of the same chunk.
+/// Writes one chunk frame whose data is the concatenation of `data` and
+/// whose data CRC the caller already holds, so the frame CRC reads only
+/// the 24-byte header. Byte-identical to [`Chunk::encode`] of the same
+/// chunk.
 pub(crate) fn encode_chunk(
     transfer_id: u64,
     seq: u32,
     total: u32,
     payload_crc: u32,
-    data: [&[u8]; 2],
+    data: &[&[u8]],
     data_crc: u32,
 ) -> Bytes {
-    let len = data[0].len() + data[1].len();
+    let len = data.iter().map(|d| d.len()).sum::<usize>();
     let mut buf = BytesMut::with_capacity(CHUNK_HEADER + len + 4);
     buf.put_u64(transfer_id);
     buf.put_u32(seq);
@@ -320,8 +321,9 @@ pub(crate) fn encode_chunk(
     buf.put_u32(payload_crc);
     buf.put_u32(len as u32);
     let crc = crc32_combine(crc32(&buf), data_crc, len as u64);
-    buf.put_slice(data[0]);
-    buf.put_slice(data[1]);
+    for piece in data {
+        buf.put_slice(piece);
+    }
     buf.put_u32(crc);
     buf.freeze()
 }

@@ -3,7 +3,9 @@
 //! Three brokers serve three local regions; bridges share all SDFLMQ
 //! topics between them. The coordinator and parameter server live in
 //! region A, but clients connect only to *their region's* broker — their
-//! contributions cross the bridges transparently.
+//! contributions cross the bridges transparently. Exits non-zero unless
+//! every client ends with the expected global model (every parameter 2.0)
+//! and every broker received traffic over a bridge.
 //!
 //! ```text
 //! cargo run --release --example bridged_regions
@@ -116,23 +118,30 @@ fn main() {
     for h in handles {
         finals.push(h.join().unwrap());
     }
-    let first = &finals[0];
-    assert!(finals.iter().all(|f| f == first));
+    for (i, f) in finals.iter().enumerate() {
+        assert_eq!(f.len(), PARAMS, "client {i} holds the whole model");
+        if let Some(x) = f.iter().find(|&&x| x != 2.0) {
+            panic!("client {i} ended with a parameter of {x}, expected 2.0");
+        }
+    }
     println!(
-        "all {total} clients across 3 bridged regions agree on the global model \
-         (param[0] = {}, expected 2.0)",
-        first[0]
+        "all {total} clients across 3 bridged regions hold the global model \
+         (every param = 2.0)"
     );
-    let stats_a = broker_a.stats();
-    let stats_b = broker_b.stats();
-    let stats_c = broker_c.stats();
+    let stats = [broker_a.stats(), broker_b.stats(), broker_c.stats()];
     println!(
         "broker publish counts  a: {}  b: {}  c: {} (bridge-ins: {}, {}, {})",
-        stats_a.publishes_in,
-        stats_b.publishes_in,
-        stats_c.publishes_in,
-        stats_a.bridge_in,
-        stats_b.bridge_in,
-        stats_c.bridge_in
+        stats[0].publishes_in,
+        stats[1].publishes_in,
+        stats[2].publishes_in,
+        stats[0].bridge_in,
+        stats[1].bridge_in,
+        stats[2].bridge_in
     );
+    for (s, region) in stats.iter().zip(["a", "b", "c"]) {
+        assert!(
+            s.bridge_in > 0,
+            "region {region} received nothing over a bridge"
+        );
+    }
 }
