@@ -9,8 +9,10 @@
 //! On the send side a parameter byte is copied once: into its chunk frame,
 //! straight from the blob's `params` (the metadata header is framed
 //! beside them, not joined to them). The chunk frames then travel to every
-//! receiver as shared payloads. On the receive side a multi-chunk
-//! transfer is concatenated once before it is decoded.
+//! receiver as shared payloads. On the receive side a blob within one
+//! chunk — at the default 512 KiB budget, every update of the paper's
+//! MLP — is decoded from a slice of its frame; only a multi-chunk
+//! transfer is concatenated, once, before it is decoded.
 
 use crate::error::Result;
 use crate::messages::{Blob, UpdateMeta};
@@ -54,8 +56,9 @@ impl BlobChannel {
 
     /// Payload bytes the receive path has copied (multi-chunk
     /// concatenation and decompression output, summed across this
-    /// channel's subscriptions). Single-chunk uncompressed transfers
-    /// deliver zero-copy slices of the received frames and add nothing.
+    /// channel's subscriptions). Single-chunk uncompressed transfers —
+    /// every blob within the chunk budget — deliver zero-copy slices of
+    /// the received frames and add nothing.
     pub fn copied_bytes(&self) -> u64 {
         self.copied.load(Ordering::Relaxed)
     }
@@ -194,7 +197,16 @@ mod tests {
     #[test]
     fn blob_pubsub_roundtrip() {
         let broker = Broker::start_default();
-        let rx_chan = channel(&broker, "rx");
+        // 64 KiB chunks: the 200 KB blob below crosses four of them.
+        let batch = BatchConfig {
+            chunk_size: 64 * 1024,
+            ..BatchConfig::default()
+        };
+        let channel = |id: &str| {
+            let client = Client::connect(&broker, ClientOptions::new(id)).unwrap();
+            BlobChannel::new(client, id, batch.clone())
+        };
+        let rx_chan = channel("rx");
         let (tx, rx) = bounded(1);
         rx_chan
             .subscribe(
@@ -204,11 +216,13 @@ mod tests {
                 }),
             )
             .unwrap();
-        let tx_chan = channel(&broker, "tx");
+        let tx_chan = channel("tx");
         let sent = blob((0..200_000u32).map(|i| (i % 251) as u8).collect());
         publish(&tx_chan, &TopicName::new("params/in").unwrap(), &sent).unwrap();
         let got = rx.recv_timeout(Duration::from_secs(5)).unwrap();
         assert_eq!(got, sent);
+        // Only a multi-chunk transfer is concatenated on receipt.
+        assert!(rx_chan.copied_bytes() > 200_000);
     }
 
     #[test]

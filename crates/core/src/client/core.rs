@@ -19,13 +19,15 @@ use sdflmq_mqtt::TopicName;
 use sdflmq_nn::codec::UpdateCodec;
 use sdflmq_nn::parallel::WorkerPool;
 use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 
 /// What a blob publish carries.
 pub(crate) enum Body {
     /// The caller's local update, to be encoded now. Encoding folds the
     /// error-feedback residual in, so the glue hands the result back
-    /// ([`NodeCore::cache_encoding`]) and re-sends reuse it.
-    Fresh(Vec<f32>),
+    /// ([`NodeCore::cache_encoding`]) and re-sends reuse it. It shares
+    /// the model controller's vector.
+    Fresh(Arc<Vec<f32>>),
     /// The round's first encoding, republished as is.
     Cached(Bytes, UpdateMeta),
     /// A complete stack, to be finished and encoded as an aggregate.
@@ -68,7 +70,7 @@ enum End {
 /// can re-send it without involving the training loop.
 struct LastSent {
     round: u32,
-    params: Vec<f32>,
+    params: Arc<Vec<f32>>,
     weight: u64,
     /// The round's first wire encoding; it shares the published payload's
     /// storage, which the buffer pool reclaims once this is replaced.
@@ -245,7 +247,7 @@ impl NodeCore {
         &mut self,
         session: &SessionId,
         round: u32,
-        params: Vec<f32>,
+        params: Arc<Vec<f32>>,
         weight: u64,
         pool: &WorkerPool,
     ) -> Result<Effects> {
@@ -259,11 +261,15 @@ impl NodeCore {
                 ));
             }
             // A repeat in the same round keeps the cached encoding (the
-            // model is unchanged until the next global).
+            // model is unchanged until the next global). The model
+            // controller hands out the vector it holds, so an unchanged
+            // model is the same allocation and skips the compare.
+            let unchanged =
+                |last: &LastSent| Arc::ptr_eq(&last.params, &params) || last.params == params;
             let encoded = state
                 .last_sent
                 .take()
-                .filter(|last| last.round == round && last.params == params)
+                .filter(|last| last.round == round && unchanged(last))
                 .and_then(|last| last.encoded);
             state.last_sent = Some(LastSent {
                 round,
@@ -441,7 +447,7 @@ impl Session {
             Some(role) => {
                 let body = match &last.encoded {
                     Some((payload, update)) => Body::Cached(payload.clone(), *update),
-                    None => Body::Fresh(last.params.clone()),
+                    None => Body::Fresh(Arc::clone(&last.params)),
                 };
                 self.upward(turn, &role, round, last.weight, body);
             }

@@ -392,7 +392,7 @@ impl SdflmqClient {
                 // before `set_model`) is not a local model.
                 return Err(CoreError::NoModel(session_id.as_str().to_owned()));
             }
-            (entry.params.clone(), entry.num_samples)
+            (Arc::clone(&entry.params), entry.num_samples)
         };
         // Block until the coordinator has opened a round (the session may
         // still be forming when the first `send_local` is issued).
@@ -422,7 +422,7 @@ impl SdflmqClient {
     /// Current model parameters for a session (after `wait_global_update`
     /// this is the global model).
     pub fn model_params(&self, session_id: &SessionId) -> Result<Vec<f32>> {
-        Ok(self.inner.mc.lock().get(session_id)?.params.clone())
+        Ok(self.inner.mc.lock().get(session_id)?.params.to_vec())
     }
 
     /// The last global round applied for a session.

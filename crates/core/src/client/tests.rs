@@ -157,7 +157,7 @@ impl Rig {
                                 payload,
                                 update,
                             );
-                            (params, Sent::Fresh)
+                            (params.to_vec(), Sent::Fresh)
                         }
                         Body::Cached(payload, update) => (
                             ModelController::decode_update_stateless(&update, &payload).unwrap(),
@@ -204,7 +204,7 @@ impl Rig {
         let round = self.core.poll_gate(&sid()).expect("the gate is decided")?;
         let effects = self
             .core
-            .send_local(&sid(), round, params, 10, &self.workers)?;
+            .send_local(&sid(), round, Arc::new(params), 10, &self.workers)?;
         self.record(effects);
         Ok(())
     }
@@ -331,6 +331,39 @@ fn a_mid_round_set_role_redirects_the_last_sent_to_the_new_parent() {
             blob(to(Position::Agg(0)), 1, 10, vector(1.0), Sent::Cached),
             Wire::Contrib(1),
         ]
+    );
+}
+
+#[test]
+fn a_fresh_body_shares_the_vector_send_local_was_given() {
+    let mut rig = Rig::new();
+    rig.role(trainer(Position::Agg(0), 1));
+    rig.start(1);
+    let params = Arc::new(vector(1.0));
+    let send = |rig: &mut Rig| {
+        rig.core
+            .send_local(&sid(), 1, Arc::clone(&params), 10, &rig.workers)
+            .unwrap()
+    };
+    let effects = send(&mut rig);
+    let fresh = effects.list.iter().find_map(|effect| match effect {
+        Effect::Publish(publish) => match &publish.body {
+            Body::Fresh(body) => Some(Arc::clone(body)),
+            _ => None,
+        },
+        _ => None,
+    });
+    assert!(Arc::ptr_eq(&fresh.expect("a fresh publish"), &params));
+    rig.record(effects);
+    rig.take();
+    // The same allocation again in the same round is a repeat: the
+    // round's encoding goes out as it was.
+    let effects = send(&mut rig);
+    rig.record(effects);
+    let to = position_topic(&sid(), Position::Agg(0));
+    assert_eq!(
+        rig.take(),
+        [blob(to, 1, 10, vector(1.0), Sent::Cached), Wire::Contrib(1)]
     );
 }
 

@@ -20,12 +20,17 @@ use crate::messages::UpdateMeta;
 use sdflmq_nn::codec::UpdateCodec;
 use sdflmq_nn::parallel::WorkerPool;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// State of one session's model on this client.
+///
+/// The parameter vectors are shared, not cloned: a send hands the node
+/// core the same allocation `params` holds, and an applied global is one
+/// allocation behind both `params` and `last_global`.
 #[derive(Debug, Clone)]
 pub struct ModelEntry {
     /// Current flat parameters.
-    pub params: Vec<f32>,
+    pub params: Arc<Vec<f32>>,
     /// Number of local samples (FedAvg weight).
     pub num_samples: u64,
     /// Last global round applied (0 = none yet).
@@ -33,7 +38,7 @@ pub struct ModelEntry {
     /// The last applied global model — the base vector delta codecs
     /// encode/decode against. Empty until the first global arrives
     /// (delta base round 0 = the all-zeros vector).
-    pub last_global: Vec<f32>,
+    pub last_global: Arc<Vec<f32>>,
     /// Error-feedback residual for this model's outgoing lossy updates.
     pub residual: Vec<f32>,
 }
@@ -53,6 +58,7 @@ impl ModelController {
     /// Registers or replaces the local model for a session. Codec state
     /// (global marker, base, residual) survives local re-training.
     pub fn set_model(&mut self, session: &SessionId, params: Vec<f32>, num_samples: u64) {
+        let params = Arc::new(params);
         match self.models.get_mut(session) {
             Some(entry) => {
                 entry.params = params;
@@ -65,7 +71,7 @@ impl ModelController {
                         params,
                         num_samples,
                         global_round: 0,
-                        last_global: Vec::new(),
+                        last_global: Arc::default(),
                         residual: Vec::new(),
                     },
                 );
@@ -81,8 +87,9 @@ impl ModelController {
     }
 
     /// Applies a global update: replaces parameters, advances the round
-    /// marker, and records the new delta base. Stale updates (round ≤
-    /// last applied) are ignored and reported as `false`.
+    /// marker, and records the new delta base — one allocation, the
+    /// decoded vector itself, behind both. Stale updates (round ≤ last
+    /// applied) are ignored and reported as `false`.
     ///
     /// A session with no registered model gets a tracking entry: a *pure
     /// aggregator* never calls `set_model`, but it must still follow the
@@ -98,10 +105,10 @@ impl ModelController {
             .models
             .entry(session.clone())
             .or_insert_with(|| ModelEntry {
-                params: Vec::new(),
+                params: Arc::default(),
                 num_samples: 0,
                 global_round: 0,
-                last_global: Vec::new(),
+                last_global: Arc::default(),
                 residual: Vec::new(),
             });
         if round <= entry.global_round {
@@ -114,7 +121,8 @@ impl ModelController {
                 entry.params.len()
             )));
         }
-        entry.last_global = params.clone();
+        let params = Arc::new(params);
+        entry.last_global = Arc::clone(&params);
         entry.params = params;
         entry.global_round = round;
         Ok(true)
@@ -366,7 +374,7 @@ mod tests {
         let mut mc = ModelController::new();
         mc.set_model(&sid("s1"), vec![1.0, 2.0], 100);
         let entry = mc.get(&sid("s1")).unwrap();
-        assert_eq!(entry.params, vec![1.0, 2.0]);
+        assert_eq!(*entry.params, vec![1.0, 2.0]);
         assert_eq!(entry.num_samples, 100);
         assert_eq!(entry.global_round, 0);
         assert!(mc.get(&sid("missing")).is_err());
@@ -380,7 +388,7 @@ mod tests {
         assert_eq!(mc.get(&sid("s1")).unwrap().global_round, 1);
         // Stale/duplicate round is ignored.
         assert!(!mc.apply_global(&sid("s1"), 1, vec![9.0, 9.0]).unwrap());
-        assert_eq!(mc.get(&sid("s1")).unwrap().params, vec![1.0, 1.0]);
+        assert_eq!(*mc.get(&sid("s1")).unwrap().params, vec![1.0, 1.0]);
     }
 
     #[test]
@@ -398,7 +406,28 @@ mod tests {
         // Local re-training replaces params but keeps the global marker.
         mc.set_model(&sid("s1"), vec![2.0], 10);
         assert_eq!(mc.get(&sid("s1")).unwrap().global_round, 3);
-        assert_eq!(mc.get(&sid("s1")).unwrap().last_global, vec![1.0]);
+        assert_eq!(*mc.get(&sid("s1")).unwrap().last_global, vec![1.0]);
+    }
+
+    #[test]
+    fn an_applied_global_is_one_allocation_and_set_model_replaces_only_params() {
+        let mut mc = ModelController::new();
+        let s = sid("s1");
+        mc.set_model(&s, vec![0.0; 4], 10);
+        let global = vec![1.0f32; 4];
+        let decoded = global.as_ptr();
+        assert!(mc.apply_global(&s, 1, global).unwrap());
+        let entry = mc.get(&s).unwrap();
+        assert!(Arc::ptr_eq(&entry.params, &entry.last_global));
+        assert_eq!(entry.params.as_ptr(), decoded, "the decoded vector is kept");
+        let base = Arc::clone(&entry.last_global);
+        // Re-training replaces the local model; the base stays put.
+        mc.set_model(&s, vec![2.0; 4], 10);
+        let entry = mc.get(&s).unwrap();
+        assert!(Arc::ptr_eq(&entry.last_global, &base));
+        assert!(!Arc::ptr_eq(&entry.params, &base));
+        assert_eq!(*entry.params, vec![2.0; 4]);
+        assert_eq!(*base, vec![1.0; 4]);
     }
 
     #[test]
@@ -468,7 +497,7 @@ mod tests {
         assert!(mc.apply_global(&s, 1, global.clone()).unwrap());
         let entry = mc.get(&s).unwrap();
         assert_eq!(entry.global_round, 1);
-        assert_eq!(entry.last_global, global);
+        assert_eq!(*entry.last_global, global);
         assert_eq!(entry.num_samples, 0);
 
         // A trainer's round-2 delta against global 1 now decodes here.

@@ -160,7 +160,10 @@ impl ParamServer {
     /// Payload bytes the server's receive path has copied. The store-and-
     /// rebroadcast pipeline is otherwise zero-copy: a root aggregate that
     /// arrives as a single uncompressed chunk is stored and rebroadcast
-    /// as a slice of the received frame.
+    /// as a slice of the received frame. At the default 512 KiB chunk
+    /// budget that is every dense aggregate of up to ~131k parameters,
+    /// the paper's MLP included, so this stays 0; only a larger,
+    /// multi-chunk aggregate is concatenated and counted.
     pub fn copied_bytes(&self) -> u64 {
         self.blobs.copied_bytes()
     }

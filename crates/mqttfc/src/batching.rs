@@ -1,7 +1,7 @@
 //! Payload batching: serialize → split → reassemble.
 //!
 //! MQTT brokers and constrained links dislike multi-megabyte publishes, so
-//! MQTTFC splits large payloads (e.g. a full set of MLP parameters) into
+//! MQTTFC splits large payloads (a model update past the chunk budget) into
 //! fixed-size chunks, each a self-verifying [`Chunk`] frame, and reassembles
 //! them on the receiving side (paper §IV: "a batching mechanism … which
 //! serializes the payload and divides it into multiple batches before
@@ -37,7 +37,12 @@ use std::time::{Duration, Instant};
 /// Batching configuration.
 #[derive(Debug, Clone)]
 pub struct BatchConfig {
-    /// Maximum bytes of payload per chunk.
+    /// Maximum bytes of payload per chunk. The default, 512 KiB, carries
+    /// the paper's 784-128-64-10 MLP update (a 437,590-byte body) as one
+    /// chunk, which the receiver gets as a slice of its frame with no
+    /// concatenation. A deployment behind a broker with a smaller packet
+    /// limit lowers it: a frame is the chunk data plus 28 bytes, plus the
+    /// MQTT header.
     pub chunk_size: usize,
     /// Partial transfers older than this are evicted by
     /// [`Reassembler::evict_stale`].
@@ -47,7 +52,7 @@ pub struct BatchConfig {
 impl Default for BatchConfig {
     fn default() -> Self {
         BatchConfig {
-            chunk_size: 64 * 1024,
+            chunk_size: 512 * 1024,
             stale_after: Duration::from_secs(60),
         }
     }

@@ -373,7 +373,8 @@ mod tests {
         }
         let caller = controller(&broker, "caller");
         // The middle request spans several chunks.
-        let big: Bytes = (0..200_000u32).map(|i| (i % 251) as u8).collect();
+        let big: Bytes = (0..1_200_000u32).map(|i| (i % 251) as u8).collect();
+        assert!(big.len() > 2 * BatchConfig::default().chunk_size);
         let calls = [
             ("a", Bytes::from_static(b"1")),
             ("b", big.clone()),
@@ -441,8 +442,7 @@ mod tests {
             )
             .unwrap();
         let caller = controller(&broker, "cli");
-        // ~1.2 MB of structured data → multiple 64 KiB chunks even after
-        // compression.
+        // ~1.2 MB of structured data → several default-size chunks.
         let payload: Vec<u8> = (0..1_200_000u32).map(|i| (i % 253) as u8).collect();
         let reply = caller.call_with_reply("echo_len", payload.clone()).unwrap();
         assert_eq!(String::from_utf8_lossy(&reply), payload.len().to_string());

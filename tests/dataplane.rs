@@ -149,6 +149,37 @@ fn int8_session_converges_within_quantization_error() {
 }
 
 #[test]
+fn a_dense_mlp_round_reaches_the_parameter_server_uncopied() {
+    // The 784-128-64-10 MLP's parameter count: one default chunk per
+    // update, so the root aggregate arrives as a slice of its frame.
+    const MLP_PARAMS: usize = 109_386;
+    let b = broker("dp-mlp");
+    let (_coord, ps) = infra(
+        &b,
+        Topology::Hierarchical {
+            aggregator_ratio: 0.4,
+        },
+    );
+    let clients: Vec<SdflmqClient> = (0..4)
+        .map(|i| codec_client(&b, &format!("m{i}"), UpdateCodec::Dense))
+        .collect();
+    let (finals, clients) = run_session("dp-mlp", clients, 1, MLP_PARAMS);
+    let expected = spread(2.5, MLP_PARAMS);
+    for finals in &finals {
+        assert_eq!(finals.len(), MLP_PARAMS);
+        for (got, want) in finals.iter().zip(&expected) {
+            assert!((got - want).abs() < 1e-5, "dense {got} vs {want}");
+        }
+    }
+    let session = SessionId::new("dp-mlp").unwrap();
+    assert_eq!(ps.global(&session).map(|g| g.round), Some(1));
+    assert_eq!(ps.copied_bytes(), 0, "the parameter server copied a body");
+    for c in &clients {
+        assert_eq!(c.data_plane_stats().dropped_transfers, 0, "{c:?}");
+    }
+}
+
+#[test]
 fn topk_delta_session_reconstructs_against_rolling_base() {
     let b = broker("dp-topk");
     let (_coord, _ps) = infra(&b, Topology::Central);

@@ -250,14 +250,15 @@ fn large_model_crosses_batching_path() {
         },
     )
     .unwrap();
-    let _ps = ParamServer::start(&b, BatchConfig::default()).unwrap();
+    let ps = ParamServer::start(&b, BatchConfig::default()).unwrap();
 
     let session = SessionId::new("large-model").unwrap();
     let model = ModelId::new("big").unwrap();
 
-    // ~437 KB of parameters per client — forces multi-chunk transfers
-    // (64 KiB chunks) on every hop.
-    const PARAMS: usize = 109_386;
+    // ~800 KB of parameters per client — more than one default chunk, so
+    // every hop is a multi-chunk transfer.
+    const PARAMS: usize = 200_000;
+    assert!(PARAMS * 4 > BatchConfig::default().chunk_size);
     let mut handles = Vec::new();
     for i in 0..2usize {
         let client = SdflmqClient::connect(
@@ -307,6 +308,9 @@ fn large_model_crosses_batching_path() {
             assert!((v - 0.5).abs() < 1e-5);
         }
     }
+    // The root aggregate reached the parameter server in several chunks:
+    // only a multi-chunk transfer is concatenated.
+    assert!(ps.copied_bytes() > (PARAMS * 4) as u64);
 }
 
 #[test]

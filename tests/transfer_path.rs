@@ -151,10 +151,39 @@ fn the_early_stop_chooses_the_exhaustive_mode() {
 }
 
 #[test]
+fn a_default_dense_mlp_update_is_one_raw_chunk_and_arrives_uncopied() {
+    let (global, local) = global_and_local(&mut Rng(7));
+    let blob = update_blob(UpdateCodec::Dense, &local, &global);
+    // 109,386 f32s behind a short header, plus the 1-byte mode tag: the
+    // whole body fits one default chunk.
+    let config = BatchConfig::default();
+    assert!(blob.len() > MLP_PARAMS * 4);
+    assert!(
+        blob.len() < config.chunk_size,
+        "dense blob is {} B",
+        blob.len()
+    );
+    let frames = split(&blob, 1, &config);
+    assert_eq!(frames.len(), 1, "one chunk");
+    let frame = frames[0].clone();
+    let mut reassembler = Reassembler::new(config);
+    let Ok(PushResult::Complete(payload)) = reassembler.push("dev000", frame.clone()) else {
+        panic!("a single chunk completes the transfer");
+    };
+    assert_eq!(payload[..], blob[..]);
+    assert_eq!(reassembler.copied_bytes(), 0, "nothing is concatenated");
+    let inside = frame.as_ptr_range();
+    assert!(
+        inside.contains(&payload.as_ptr()) && payload.as_ptr_range().end <= inside.end,
+        "the payload is a slice of its frame"
+    );
+}
+
+#[test]
 fn a_default_topk_update_is_one_raw_chunk_and_arrives_uncopied() {
     let (global, local) = global_and_local(&mut Rng(7));
     let blob = update_blob(UpdateCodec::TOP_K_DEFAULT, &local, &global);
-    // ~3.3k values and ~3.3k one- or two-byte gaps: under a 64 KiB chunk.
+    // ~3.3k values and ~3.3k one- or two-byte gaps: far under a chunk.
     assert!(blob.len() < 20_000, "top-k blob is {} B", blob.len());
     let config = BatchConfig::default();
     let frames = split(&blob, 1, &config);
