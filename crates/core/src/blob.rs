@@ -309,7 +309,7 @@ mod tests {
         let (tx, rx) = bounded(4);
         rx_chan
             .subscribe(
-                &TopicFilter::new("sdflmq/session/+/ps").unwrap(),
+                &TopicFilter::new("sdflmq/session/+/global").unwrap(),
                 Arc::new(move |b, _| {
                     let _ = tx.send(b.session_id.as_str().to_owned());
                 }),
@@ -319,7 +319,7 @@ mod tests {
         for sid in ["a", "b"] {
             let mut b = blob(vec![1, 2, 3]);
             b.session_id = SessionId::new(sid).unwrap();
-            let topic = TopicName::new(format!("sdflmq/session/{sid}/ps")).unwrap();
+            let topic = TopicName::new(format!("sdflmq/session/{sid}/global")).unwrap();
             publish(&tx_chan, &topic, &b).unwrap();
         }
         let mut got = vec![

@@ -13,7 +13,7 @@ use crate::error::{CoreError, Result};
 use crate::ids::SessionId;
 use crate::messages::{CtrlMsg, UpdateMeta};
 use crate::roles::RoleSpec;
-use crate::topics::{global_topic, param_server_topic, position_topic, Position};
+use crate::topics::{global_topic, position_topic, Position};
 use bytes::Bytes;
 use sdflmq_mqtt::TopicName;
 use sdflmq_nn::codec::UpdateCodec;
@@ -515,10 +515,13 @@ impl Session {
     }
 
     /// The one blob publish: to the role's parent position, or from the
-    /// root to the parameter server.
+    /// root on the global topic. The root's own global subscription hands
+    /// it back, and [`NodeCore::on_global`] takes it like any node's: the
+    /// root applies the decoded wire form the others apply and reports
+    /// `round_done` once.
     fn upward(&self, turn: &mut Turn, role: &RoleSpec, round: u32, weight: u64, body: Body) {
         let topic = if role.is_root() {
-            param_server_topic(&self.id)
+            global_topic(&self.id)
         } else {
             position_topic(&self.id, role.parent)
         };

@@ -8,11 +8,12 @@
 //!   sender (so re-sent contributions after a mid-round re-delegation
 //!   deduplicate instead of double-counting); when the expected number of
 //!   distinct contributions arrives it aggregates and forwards up the
-//!   hierarchy (or to the parameter server at the root);
+//!   hierarchy, or, at the root, publishes it as the round's global;
 //! * the **model controller** — per-session local model storage;
-//! * the **global update synchronizer** — applies parameter-server
-//!   broadcasts and reports round completion (with fresh system stats)
-//!   back to the coordinator.
+//! * the **global update synchronizer** — applies the root's global
+//!   broadcast (the root applies its own, as it comes back on its
+//!   subscription) and reports round completion (with fresh system
+//!   stats) back to the coordinator.
 //!
 //! The public surface mirrors the paper's Python API: `create_fl_session`,
 //! `join_fl_session`, `set_model`, `send_local`, `wait_global_update`.
@@ -622,8 +623,8 @@ impl Inner {
         }
     }
 
-    /// Applies a parameter-server broadcast the core has not acknowledged
-    /// yet and reports round completion.
+    /// Applies a global broadcast the core has not acknowledged yet and
+    /// reports round completion.
     fn on_global(self: &Arc<Self>, session_id: &SessionId, blob: Blob, update: &UpdateMeta) {
         // Decoded outside the locks into a fresh vector: it becomes the
         // model. A delta decoded against a base that a newer global

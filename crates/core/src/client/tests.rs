@@ -3,8 +3,9 @@
 //! A [`Rig`] stands where the glue does: it feeds control messages,
 //! decoded contributions, globals and `send_local` calls into a
 //! [`NodeCore`], and records what each [`Effects`] list would put on the
-//! wire, handing fresh encodings back and tracking the subscriptions the
-//! way the broker would. No broker, thread or sleep is involved. The
+//! wire, handing fresh encodings back, tracking the subscriptions and
+//! handing a root's global back to its own subscription the way the
+//! broker would. No broker, thread or sleep is involved. The
 //! differential proptest at the bottom then holds a live [`SdflmqClient`]
 //! to the same per-topic publish sequences.
 
@@ -13,7 +14,7 @@ use super::*;
 use crate::coordinator::COORDINATOR_ID;
 use crate::messages::CtrlMsg;
 use crate::roles::Role;
-use crate::topics::{param_server_topic, position_topic, Position};
+use crate::topics::{position_topic, Position};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -143,11 +144,18 @@ impl Rig {
     }
 
     /// Carries `effects` out the way `Inner::execute` does: a fresh
-    /// encoding goes back to the core, an aggregate is finished.
+    /// encoding goes back to the core, an aggregate is finished. A global
+    /// the node publishes comes back on its global subscription, as the
+    /// broker delivers it, after the whole list.
     fn record(&mut self, effects: Effects) {
+        let global = global_topic(&effects.session);
+        let mut echoes = Vec::new();
         for effect in effects.list {
             let wire = match effect {
                 Effect::Publish(publish) => {
+                    if publish.topic == global {
+                        echoes.push(publish.round);
+                    }
                     let (params, sent) = match publish.body {
                         Body::Fresh(params) => {
                             let (payload, update) = dense(&params);
@@ -182,6 +190,11 @@ impl Rig {
                 self.log.entry(key).or_default().push(entry(&wire));
             }
             self.wire.push(wire);
+        }
+        for round in echoes {
+            if self.subscribed.contains(&global) {
+                self.global(round);
+            }
         }
     }
 
@@ -243,15 +256,17 @@ fn a_stale_round_contribution_is_refused() {
     assert_eq!(rig.core.retained(&sid()), Some((2, 0, false)));
     rig.contribution(2, "k0", &vector(1.0), 1);
     rig.contribution(2, "k1", &vector(3.0), 1);
-    let ps = param_server_topic(&sid());
+    let global = global_topic(&sid());
     assert_eq!(
         rig.take(),
         [
             // A pure aggregator pings on every arrival.
             Wire::Contrib(2),
             Wire::Contrib(2),
-            blob(ps, 2, 2, vector(2.0), Sent::Aggregate),
+            blob(global, 2, 2, vector(2.0), Sent::Aggregate),
             Wire::Contrib(2),
+            // The root's own global, back on its subscription.
+            Wire::RoundDone(2),
         ]
     );
 }
@@ -265,14 +280,15 @@ fn a_duplicate_sender_is_folded_once() {
     rig.contribution(1, "k0", &vector(1.0), 1);
     rig.contribution(1, "k0", &vector(100.0), 1);
     rig.contribution(1, "k1", &vector(3.0), 1);
-    let ps = param_server_topic(&sid());
+    let global = global_topic(&sid());
     assert_eq!(
         rig.take(),
         [
             Wire::Contrib(1),
             Wire::Contrib(1),
-            blob(ps, 1, 2, vector(2.0), Sent::Aggregate),
+            blob(global, 1, 2, vector(2.0), Sent::Aggregate),
             Wire::Contrib(1),
+            Wire::RoundDone(1),
         ]
     );
 }
@@ -289,13 +305,14 @@ fn a_shape_mismatched_fold_does_not_mark_the_sender() {
     assert_eq!(rig.take(), [Wire::Contrib(1)]);
     // The corrected re-send still counts.
     rig.contribution(1, "k1", &vector(3.0), 1);
-    let ps = param_server_topic(&sid());
+    let global = global_topic(&sid());
     assert_eq!(
         rig.take(),
         [
             Wire::Contrib(1),
-            blob(ps, 1, 2, vector(2.0), Sent::Aggregate),
+            blob(global, 1, 2, vector(2.0), Sent::Aggregate),
             Wire::Contrib(1),
+            Wire::RoundDone(1),
         ]
     );
 }
@@ -450,6 +467,62 @@ fn a_late_global_for_a_closed_round_is_inert() {
     assert_eq!(rig.take(), [Wire::RoundDone(2)]);
     let done = rig.log[functions::ROUND_DONE].clone();
     assert_eq!(done, [(1, 0, vec![]), (2, 0, vec![])]);
+}
+
+#[test]
+fn a_root_applies_its_own_global_once() {
+    let mut rig = Rig::new();
+    let root = spec(
+        Role::TrainerAggregator,
+        Some(Position::Root),
+        Position::Root,
+        2,
+        1,
+    );
+    rig.role(root);
+    rig.start(1);
+    rig.send(vector(1.0)).unwrap(); // our own fold
+    rig.take();
+    rig.contribution(1, "k0", &vector(3.0), 10);
+    let global = global_topic(&sid());
+    assert_eq!(
+        rig.take(),
+        [
+            blob(global, 1, 20, vector(2.0), Sent::Aggregate),
+            Wire::Contrib(1),
+            Wire::RoundDone(1),
+        ]
+    );
+    // A redelivery of the same global reports nothing more.
+    rig.global(1);
+    assert!(rig.take().is_empty());
+    assert_eq!(rig.log[functions::ROUND_DONE], [(1, 0, vec![])]);
+}
+
+#[test]
+fn a_redelegated_root_publishing_a_round_twice_is_inert_the_second_time() {
+    let mut rig = Rig::new();
+    rig.role(aggregator(Position::Root, 2, 1));
+    rig.start(1);
+    rig.contribution(1, "k0", &vector(1.0), 1);
+    rig.contribution(1, "k1", &vector(3.0), 1);
+    rig.take();
+    // k1 is evicted after the global went out: round 1 is re-delegated
+    // with one input, and k0's re-send completes the stack again.
+    rig.role(aggregator(Position::Root, 1, 1));
+    rig.start(1);
+    rig.contribution(1, "k0", &vector(1.0), 1);
+    let global = global_topic(&sid());
+    assert_eq!(
+        rig.take(),
+        [
+            Wire::Contrib(1),
+            blob(global.clone(), 1, 1, vector(1.0), Sent::Aggregate),
+            Wire::Contrib(1),
+        ]
+    );
+    assert_eq!(rig.log[global.as_str()].len(), 2);
+    assert_eq!(rig.log[functions::ROUND_DONE], [(1, 0, vec![])]);
 }
 
 #[test]
@@ -704,8 +777,8 @@ fn run_on_core(script: &[Op]) -> (Vec<Expected>, Log, u64) {
                 next,
             } => {
                 let round = round + u32::from(next);
-                // A root's parent is the parameter server; no aggregator
-                // is its own parent.
+                // A root publishes the global and names itself as its
+                // parent; no other aggregator is its own parent.
                 let held = position(holds);
                 let parent = match holds {
                     0 => Position::Root,
@@ -752,7 +825,7 @@ fn run_on_core(script: &[Op]) -> (Vec<Expected>, Log, u64) {
                     rig.global(round);
                 }
                 let params = vector(round as f32 * 10.0);
-                data_blob(global_topic(&sid()), round, "ps", &params, 0)
+                data_blob(global_topic(&sid()), round, "root", &params, 0)
             }
             Op::Complete => Input::Ctrl(CtrlMsg::SessionComplete),
             Op::Abort => Input::Ctrl(CtrlMsg::Abort("stop".into())),
@@ -815,7 +888,7 @@ fn run_live(steps: &[Expected]) -> (Log, u64) {
 
     let spy = BlobChannel::new(connect("spy"), "spy", BatchConfig::default());
     let topics = (0..3).map(|i| position_topic(&sid(), position(i)));
-    for topic in topics.chain([param_server_topic(&sid())]) {
+    for topic in topics.chain([global_topic(&sid())]) {
         let (log, key) = (Arc::clone(&log), topic.as_str().to_owned());
         let handler = move |blob: Blob, update: UpdateMeta| {
             if blob.sender == ME {

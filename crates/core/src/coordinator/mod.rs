@@ -3,7 +3,7 @@
 //! Owns session management, the clustering engine, topic-based role
 //! (re)arrangement, and the load balancer. The coordinator is *not* on the
 //! data path: model parameters flow client → aggregator positions →
-//! parameter server; the coordinator only exchanges small control
+//! root → every client; the coordinator only exchanges small control
 //! messages, which is the core scalability claim of semi-decentralized FL.
 //!
 //! Protocol summary:

@@ -7,7 +7,8 @@
 //! roles by publishing to per-client control functions, and rebalances
 //! aggregation duty between rounds from reported system stats. Model
 //! parameters never touch the coordinator: they flow trainer → cluster
-//! head → root → parameter server → broadcast.
+//! head → root, and the root broadcasts the global to every contributor
+//! and the parameter server.
 //!
 //! Three node types, mirroring the paper's architecture (Fig. 3):
 //!
@@ -16,8 +17,8 @@
 //! * [`client::SdflmqClient`] — the contributor API (`create_fl_session`,
 //!   `join_fl_session`, `set_model`, `send_local`, `wait_global_update`),
 //!   with the role arbiter and aggregation pipeline inside;
-//! * [`param_server::ParamServer`] — the global model repository and
-//!   update synchronizer.
+//! * [`param_server::ParamServer`] — the global model repository, a
+//!   subscriber of every session's global topic.
 //!
 //! Two execution substrates share all the planning logic:
 //!

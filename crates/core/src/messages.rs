@@ -174,7 +174,8 @@ pub struct Blob {
     pub session_id: SessionId,
     /// Round the parameters were produced in.
     pub round: u32,
-    /// Producing node (client id or "ps").
+    /// Producing node: the client id of the trainer or aggregator that
+    /// published it (the root's, for a global).
     pub sender: String,
     /// FedAvg weight: number of samples this vector represents.
     pub weight: u64,

@@ -91,9 +91,9 @@ pub struct RoleSpec {
     /// The aggregation position held (None for pure trainers).
     pub position: Option<Position>,
     /// Where this client sends its (local or aggregated) parameters:
-    /// the parent's position. `Position::Root`'s own parent is the
-    /// parameter server — encoded separately by `parent` being the
-    /// client's own position when it *is* root (see `sends_to_ps`).
+    /// the parent's position. The root has no parent position: it
+    /// publishes the round's global on the global topic (see
+    /// [`RoleSpec::is_root`]), and its `parent` is its own position.
     pub parent: Position,
     /// For aggregators: how many parameter blobs to expect per round.
     pub expected_inputs: u32,
@@ -109,8 +109,9 @@ pub struct RoleSpec {
 }
 
 impl RoleSpec {
-    /// True if this client is the root aggregator (its aggregate goes to
-    /// the parameter server rather than another position).
+    /// True if this client is the root aggregator (its aggregate is the
+    /// round's global, published on the global topic rather than to
+    /// another position).
     pub fn is_root(&self) -> bool {
         self.position == Some(Position::Root)
     }

@@ -622,7 +622,10 @@ fn simulate_round(
         arrivals.entry(Position::Root).or_default().push(delivered);
     }
 
-    // Phase 4: root aggregation and push to the parameter server.
+    // Phase 4: root aggregation and push to the parameter server. This is
+    // the paper's §III.B.2 flow, kept so Fig. 8 stays the paper's model:
+    // the real stack's root broadcasts the global itself, one hop fewer
+    // (docs/ARCHITECTURE.md, "Who publishes the global").
     let root_holder = holder_of[&Position::Root];
     let root_inputs = arrivals.remove(&Position::Root).unwrap_or_default();
     let root_ready = root_inputs.iter().copied().fold(start, SimTime::max);

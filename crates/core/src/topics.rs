@@ -34,8 +34,7 @@ pub mod functions {
 /// intermediate cluster heads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Position {
-    /// The root aggregator (publishes the global candidate to the
-    /// parameter server).
+    /// The root aggregator (publishes the round's global model).
     Root,
     /// Intermediate aggregator `i`.
     Agg(u32),
@@ -68,12 +67,8 @@ pub fn position_topic(session: &SessionId, position: Position) -> TopicName {
     .expect("session ids are topic-safe")
 }
 
-/// Topic where the parameter server receives the root's aggregate.
-pub fn param_server_topic(session: &SessionId) -> TopicName {
-    TopicName::new(format!("sdflmq/session/{session}/ps")).expect("session ids are topic-safe")
-}
-
-/// Public topic where the parameter server broadcasts global updates.
+/// Public topic where the root aggregator publishes each round's global
+/// model, to every contributor and the parameter server.
 pub fn global_topic(session: &SessionId) -> TopicName {
     TopicName::new(format!("sdflmq/session/{session}/global")).expect("session ids are topic-safe")
 }
@@ -107,7 +102,6 @@ mod tests {
         let topics = [
             position_topic(&sid(), Position::Root),
             position_topic(&sid(), Position::Agg(0)),
-            param_server_topic(&sid()),
             global_topic(&sid()),
             topology_topic(&sid()),
         ];

@@ -112,36 +112,21 @@ fn deeply_nested_brackets_are_refused_and_the_nodes_live_on() {
             "{function}: got {err:?}"
         );
     }
-    // The same bytes as a blob's metadata header, sent to the parameter
-    // server: dropped and counted.
-    let mut blob = (nested.len() as u32).to_be_bytes().to_vec();
-    blob.extend_from_slice(&nested);
-    let topic = TopicName::new("sdflmq/session/s/ps").unwrap();
-    let frames = split(&blob, 1, &BatchConfig::default());
-    let frames = frames.into_iter().map(|frame| (&topic, frame));
-    raw.client()
-        .publish_all(frames, QoS::AtLeastOnce, false)
-        .unwrap();
-    let patience = Instant::now() + Duration::from_secs(10);
-    while ps.dropped_transfers() == 0 {
-        assert!(
-            Instant::now() < patience,
-            "the parameter server never saw it"
-        );
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    let client = SdflmqClient::connect(
-        &broker,
-        ClientId::new("c0").unwrap(),
-        SdflmqClientConfig::default(),
-    )
-    .unwrap();
-    client
+    // A member of session `s`: it subscribes the session's global topic,
+    // as the parameter server does for every session.
+    let connect = |id: &str| {
+        let id = ClientId::new(id).unwrap();
+        SdflmqClient::connect(&broker, id, SdflmqClientConfig::default()).unwrap()
+    };
+    let session = SessionId::new("s").unwrap();
+    let model = ModelId::new("mlp").unwrap();
+    let creator = connect("c0");
+    creator
         .create_fl_session(
-            &SessionId::new("after").unwrap(),
-            &ModelId::new("mlp").unwrap(),
+            &session,
+            &model,
             Duration::from_secs(60),
-            1,
+            2,
             2,
             Duration::from_secs(60),
             1,
@@ -149,4 +134,52 @@ fn deeply_nested_brackets_are_refused_and_the_nodes_live_on() {
             10,
         )
         .unwrap();
+    // The same bytes as a blob's metadata header on that global topic:
+    // the parameter server and the member each drop and count it.
+    let mut blob = (nested.len() as u32).to_be_bytes().to_vec();
+    blob.extend_from_slice(&nested);
+    let topic = TopicName::new("sdflmq/session/s/global").unwrap();
+    let frames = split(&blob, 1, &BatchConfig::default());
+    let frames = frames.into_iter().map(|frame| (&topic, frame));
+    raw.client()
+        .publish_all(frames, QoS::AtLeastOnce, false)
+        .unwrap();
+    let patience = Instant::now() + Duration::from_secs(10);
+    while ps.dropped_transfers() == 0 || creator.data_plane_stats().dropped_transfers == 0 {
+        assert!(
+            Instant::now() < patience,
+            "dropped: parameter server {}, member {}",
+            ps.dropped_transfers(),
+            creator.data_plane_stats().dropped_transfers
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    // Both live on: a second member starts the session, its round
+    // completes, and the parameter server stores the root's global.
+    let joiner = connect("c1");
+    joiner
+        .join_fl_session(&session, &model, PreferredRole::Any, 10)
+        .unwrap();
+    let rounds: Vec<_> = [creator, joiner]
+        .into_iter()
+        .map(|client| {
+            let session = session.clone();
+            std::thread::spawn(move || {
+                client.set_model(&session, &[1.0; 8]).unwrap();
+                client.send_local(&session).unwrap();
+                client.wait_global_update(&session, Duration::from_secs(30))
+            })
+        })
+        .collect();
+    for round in rounds {
+        assert_eq!(round.join().unwrap().unwrap(), WaitOutcome::Completed);
+    }
+    let patience = Instant::now() + Duration::from_secs(10);
+    while ps.global(&session).map(|g| g.round) != Some(1) {
+        assert!(
+            Instant::now() < patience,
+            "the parameter server stored no global"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
 }

@@ -3,21 +3,24 @@
 //! Three brokers serve three local regions; bridges share all SDFLMQ
 //! topics between them. The coordinator and parameter server live in
 //! region A, but clients connect only to *their region's* broker — their
-//! contributions cross the bridges transparently. Exits non-zero unless
-//! every client ends with the expected global model (every parameter 2.0)
-//! and every broker received traffic over a bridge.
+//! contributions, and the global the root publishes from whichever region
+//! it sits in, cross the bridges transparently. Exits non-zero unless
+//! every client and the parameter server end with the expected global
+//! model (every parameter 2.0 after the last round) and every broker
+//! received traffic over a bridge.
 //!
 //! ```text
 //! cargo run --release --example bridged_regions
 //! ```
 
+use sdflmq::core::model_controller::ModelController;
 use sdflmq::core::{
     ClientId, Coordinator, CoordinatorConfig, ModelId, ParamServer, PreferredRole, SdflmqClient,
     SdflmqClientConfig, SessionId, Topology, WaitOutcome,
 };
 use sdflmq::mqtt::{Bridge, BridgeConfig, Broker, BrokerConfig};
 use sdflmq::mqttfc::BatchConfig;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const CLIENTS_PER_REGION: usize = 3;
 const FL_ROUNDS: u32 = 2;
@@ -54,7 +57,7 @@ fn main() {
         },
     )
     .expect("start coordinator");
-    let _ps = ParamServer::start(&broker_a, BatchConfig::default()).expect("start ps");
+    let ps = ParamServer::start(&broker_a, BatchConfig::default()).expect("start ps");
 
     let session = SessionId::new("bridged").unwrap();
     let model_name = ModelId::new("regional-model").unwrap();
@@ -128,6 +131,27 @@ fn main() {
         "all {total} clients across 3 bridged regions hold the global model \
          (every param = 2.0)"
     );
+    // The parameter server in region A subscribes to the global like any
+    // client, so it may store the last one after the clients finish.
+    let patience = Instant::now() + Duration::from_secs(30);
+    let stored = loop {
+        match ps.global(&session) {
+            Some(global) if global.round == FL_ROUNDS => break global,
+            other => assert!(
+                Instant::now() < patience,
+                "the parameter server holds round {:?}, expected {FL_ROUNDS}",
+                other.map(|g| g.round)
+            ),
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    let params = ModelController::decode_update_stateless(&stored.update, &stored.params)
+        .expect("the stored global decodes");
+    assert_eq!(params.len(), PARAMS, "the stored global is the whole model");
+    if let Some(x) = params.iter().find(|&&x| x != 2.0) {
+        panic!("the parameter server stored a parameter of {x}, expected 2.0");
+    }
+    println!("the parameter server in region A stores round {FL_ROUNDS}'s global");
     let stats = [broker_a.stats(), broker_b.stats(), broker_c.stats()];
     println!(
         "broker publish counts  a: {}  b: {}  c: {} (bridge-ins: {}, {}, {})",

@@ -308,9 +308,12 @@ fn large_model_crosses_batching_path() {
             assert!((v - 0.5).abs() < 1e-5);
         }
     }
-    // The root aggregate reached the parameter server in several chunks:
-    // only a multi-chunk transfer is concatenated.
-    assert!(ps.copied_bytes() > (PARAMS * 4) as u64);
+    // The root's global reached the parameter server in several chunks:
+    // only a multi-chunk transfer is concatenated. The server is one more
+    // subscriber of the global, so it may get it after the clients finish.
+    sdflmq_testkit::require("the global concatenated", Duration::from_secs(10), || {
+        ps.copied_bytes() > (PARAMS * 4) as u64
+    });
 }
 
 #[test]
@@ -692,6 +695,77 @@ fn retained_topology_is_cleared_when_session_finishes() {
         observer.recv_timeout(Duration::from_millis(800)).is_err(),
         "no retained topology replay for a finished session"
     );
+}
+
+#[test]
+fn a_session_id_reused_after_gc_runs_its_rounds() {
+    let b = broker("id-reuse");
+    let coord = Coordinator::start(
+        &b,
+        CoordinatorConfig {
+            topology: Topology::Central,
+            terminal_linger: Duration::from_millis(200),
+            ..CoordinatorConfig::default()
+        },
+    )
+    .unwrap();
+    let _ps = ParamServer::start(&b, BatchConfig::default()).unwrap();
+    let session = SessionId::new("reused").unwrap();
+
+    // One 2-client, 1-round session per incarnation of the id, on fresh
+    // clients. Returns what each client's wait reported.
+    let run = |prefix: &str| {
+        let model = ModelId::new("toy").unwrap();
+        let mut handles = Vec::new();
+        for i in 0..2usize {
+            let c = SdflmqClient::connect(
+                &b,
+                ClientId::new(format!("{prefix}{i}")).unwrap(),
+                SdflmqClientConfig::default(),
+            )
+            .unwrap();
+            if i == 0 {
+                c.create_fl_session(
+                    &session,
+                    &model,
+                    Duration::from_secs(600),
+                    2,
+                    2,
+                    Duration::from_secs(30),
+                    1,
+                    PreferredRole::Any,
+                    10,
+                )
+                .unwrap();
+            } else {
+                c.join_fl_session(&session, &model, PreferredRole::Any, 10)
+                    .unwrap();
+            }
+            let session = session.clone();
+            handles.push(std::thread::spawn(move || {
+                c.set_model(&session, &[i as f32; 4]).unwrap();
+                c.send_local(&session).unwrap();
+                c.wait_global_update(&session, Duration::from_secs(60))
+            }));
+        }
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap())
+            .collect::<Vec<_>>()
+    };
+
+    for outcome in run("first") {
+        assert_eq!(outcome.unwrap(), WaitOutcome::Completed);
+    }
+    sdflmq_testkit::require("terminal session GC'd", Duration::from_secs(10), || {
+        coord.session_state(&session).is_none()
+    });
+    // The coordinator accepts the id again. Its round 1 is no newer than
+    // the parameter server's record of the old incarnation, and the round
+    // must still reach both clients.
+    for outcome in run("second") {
+        assert_eq!(outcome.unwrap(), WaitOutcome::Completed);
+    }
 }
 
 #[test]
